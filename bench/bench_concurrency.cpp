@@ -160,10 +160,11 @@ BENCHMARK(BM_ExportFastPath)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
 // ---- E12b: the serving layer itself, over real TCP ----------------------
 //
 // Everything above measures the pipeline in-process. These benches put
-// the wire back in: a provider served over loopback TCP in each serving
-// mode (DESIGN.md §15), keep-alive clients doing the same mixed request
-// pattern. Reactor vs pooled at the same thread counts is the tentpole
-// comparison; the idle sweep is the reactor's reason to exist.
+// the wire back in: a provider served over loopback TCP by the reactor
+// (DESIGN.md §15), keep-alive clients doing the same mixed request
+// pattern. The default single loop vs four loops (io_threads) at the
+// same client counts is the multi-core comparison; the idle sweep is
+// the reactor's reason to exist.
 
 struct TcpServeFixture {
   w5::util::WallClock clock;
@@ -172,9 +173,9 @@ struct TcpServeFixture {
   std::thread serve_thread;  // leaky: runs until process exit
   std::vector<std::string> cookies;
 
-  explicit TcpServeFixture(w5::platform::ServeMode mode) {
+  explicit TcpServeFixture(std::size_t io_threads) {
     ProviderConfig config;
-    config.serve_mode = mode;
+    config.io_threads = io_threads;
     provider = std::make_unique<Provider>(std::move(config), clock);
     for (int u = 0; u < kUsers; ++u) {
       const std::string user = "tcp" + std::to_string(u);
@@ -197,12 +198,10 @@ struct TcpServeFixture {
   }
 };
 
-TcpServeFixture& tcp_fixture(w5::platform::ServeMode mode) {
-  static TcpServeFixture* reactor =
-      new TcpServeFixture(w5::platform::ServeMode::kEventLoop);
-  static TcpServeFixture* pooled =
-      new TcpServeFixture(w5::platform::ServeMode::kPooled);
-  return mode == w5::platform::ServeMode::kEventLoop ? *reactor : *pooled;
+TcpServeFixture& tcp_fixture(std::size_t io_threads) {
+  static TcpServeFixture* one_loop = new TcpServeFixture(1);
+  static TcpServeFixture* four_loops = new TcpServeFixture(4);
+  return io_threads == 1 ? *one_loop : *four_loops;
 }
 
 // Stamps the connection-plane counters (the same w5_net_* family the
@@ -222,16 +221,15 @@ void stamp_conn_counters(benchmark::State& state,
       static_cast<double>(conn.reset_total.load(std::memory_order_relaxed));
 }
 
-void run_tcp_mixed(benchmark::State& state, w5::platform::ServeMode mode) {
-  TcpServeFixture& fx = tcp_fixture(mode);
+void run_tcp_mixed(benchmark::State& state, std::size_t io_threads) {
+  TcpServeFixture& fx = tcp_fixture(io_threads);
   const std::string& cookie =
       fx.cookies[static_cast<std::size_t>(state.thread_index()) % kUsers];
   const std::string record =
       "/data/notes/tcp-t" + std::to_string(state.thread_index());
 
-  // One keep-alive connection per client thread for the whole run —
-  // in pooled mode it pins a worker, in reactor mode it is one epoll
-  // entry; that asymmetry is exactly what the comparison measures.
+  // One keep-alive connection per client thread for the whole run: one
+  // epoll entry, dealt round-robin across the reactor's loops.
   auto dial = w5::net::tcp_connect(fx.listener.port());
   if (!dial.ok()) std::abort();
   std::unique_ptr<w5::net::Connection> conn = std::move(dial.value());
@@ -270,17 +268,20 @@ void run_tcp_mixed(benchmark::State& state, w5::platform::ServeMode mode) {
 }
 
 void BM_TcpMixedPipeline_EventLoop(benchmark::State& state) {
-  run_tcp_mixed(state, w5::platform::ServeMode::kEventLoop);
+  run_tcp_mixed(state, 1);
 }
 BENCHMARK(BM_TcpMixedPipeline_EventLoop)
     ->Threads(1)
     ->Threads(8)
     ->UseRealTime();
 
-void BM_TcpMixedPipeline_Pooled(benchmark::State& state) {
-  run_tcp_mixed(state, w5::platform::ServeMode::kPooled);
+void BM_TcpMixedPipeline_FourLoops(benchmark::State& state) {
+  run_tcp_mixed(state, 4);
 }
-BENCHMARK(BM_TcpMixedPipeline_Pooled)->Threads(1)->Threads(8)->UseRealTime();
+BENCHMARK(BM_TcpMixedPipeline_FourLoops)
+    ->Threads(1)
+    ->Threads(8)
+    ->UseRealTime();
 
 // ---- E12c: idle keep-alive sweep ----------------------------------------
 //
@@ -367,9 +368,9 @@ void BM_IdleConnectionCpu(benchmark::State& state) {
       static_cast<double>(conn_stats.open.load(std::memory_order_relaxed));
   state.counters["idle_conns"] =
       static_cast<double>(conn_stats.idle.load(std::memory_order_relaxed));
-  // Server-process CPU per wall second while N connections idle — the
-  // pooled design's 50ms poll quantum made this scale with N; the
-  // reactor's epoll set should hold it near zero at any N.
+  // Server-process CPU per wall second while N connections idle — a
+  // poll-quantum design makes this scale with N; the reactor's epoll set
+  // should hold it near zero at any N.
   state.counters["cpu_core_pct"] = cpu_spent * 100.0 / wall_spent;
 
   (void)!::write(hold_pipe[1], &byte, 1);

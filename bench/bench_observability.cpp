@@ -118,8 +118,8 @@ BENCHMARK(BM_ObservedPipeline)->Threads(1)->Threads(4)->Threads(8)
     ->UseRealTime();
 
 // The same overhead question asked of the reactor serving path (§16):
-// requests over real loopback TCP through Provider::serve() in
-// kEventLoop mode, where telemetry additionally means stage spans
+// requests over real loopback TCP through Provider::serve()'s reactor,
+// where telemetry additionally means stage spans
 // (parse/dispatch/handler/write), the event-loop lag / epoll batch /
 // timer drift histograms with exemplars, and the per-loop counters.
 // Named BM_ObservedPipeline* so the two-build gate in
@@ -132,9 +132,7 @@ struct ReactorFixture {
   std::vector<std::string> cookies;
 
   ReactorFixture() {
-    ProviderConfig config;
-    config.serve_mode = w5::platform::ServeMode::kEventLoop;
-    provider = std::make_unique<Provider>(std::move(config), clock);
+    provider = std::make_unique<Provider>(ProviderConfig{}, clock);
     for (int u = 0; u < kUsers; ++u) {
       const std::string user = "rx" + std::to_string(u);
       (void)provider->signup(user, "password");

@@ -2,11 +2,12 @@
 # The one-command verification gate: tier-1 build + tests, then the
 # sanitizer matrix (scripts/run_sanitizers.sh).
 #
-#   scripts/ci.sh            # build + lint + ctest + durability + bench + sanitizers
-#   scripts/ci.sh fast       # build + lint + ctest + durability (no bench/sanitizers)
+#   scripts/ci.sh            # build + lint + ctest + durability + bench + w5bench + sanitizers
+#   scripts/ci.sh fast       # build + lint + ctest + durability (no bench/w5bench/sanitizers)
 #   scripts/ci.sh durability # build + crash-matrix/recovery stage only
 #   scripts/ci.sh lint       # build w5lint + static checks only
 #   scripts/ci.sh bench      # build + concurrency smoke + E18 query gates only
+#   scripts/ci.sh w5bench    # the W5 benchmark's self-test only
 #
 # clang-tidy (.clang-tidy: bugprone-*, concurrency-*,
 # performance-unnecessary-value-param) runs as a gated lint leg against
@@ -97,8 +98,8 @@ durability_stage() {
 
 bench_stage() {
   echo "== Bench smoke: concurrency suite -> BENCH_concurrency.json =="
-  # E12/E12b/E12c: in-process scalability, TCP reactor-vs-pooled
-  # head-to-head, and the idle keep-alive CPU sweep. Emits
+  # E12/E12b/E12c: in-process scalability, the TCP reactor at one loop
+  # vs four, and the idle keep-alive CPU sweep. Emits
   # BENCH_concurrency.json at the repo root (timings + the conn_* and
   # cpu_core_pct counters in metrics_snapshot) for cross-commit diffing.
   scripts/bench_json.sh concurrency
@@ -114,6 +115,16 @@ bench_stage() {
   scripts/bench_json.sh federation
 }
 
+w5bench_stage() {
+  echo "== W5 benchmark: self-test (w5bench/selftest.py) =="
+  # One-second smoke run of every BENCHMARK.json workload: all metrics
+  # printed, zero failed answers, deterministic request streams, a
+  # planted wrong body caught. Catches a src/ change that breaks the
+  # benchmark's build or its answer checks. Builds its own Release tree
+  # (.bench_build/), so it stays out of the fast leg.
+  python3 w5bench/selftest.py
+}
+
 if [[ "$leg" == "durability" ]]; then
   durability_stage
   echo "ci: durability stage passed"
@@ -123,6 +134,12 @@ fi
 if [[ "$leg" == "bench" ]]; then
   bench_stage
   echo "ci: bench stage passed"
+  exit 0
+fi
+
+if [[ "$leg" == "w5bench" ]]; then
+  w5bench_stage
+  echo "ci: w5bench stage passed"
   exit 0
 fi
 
@@ -145,6 +162,7 @@ durability_stage
 
 if [[ "$leg" != "fast" ]]; then
   bench_stage
+  w5bench_stage
   scripts/run_sanitizers.sh
 fi
 

@@ -118,10 +118,6 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request) {
   // peers forward it); anything else mints a fresh id. The context is
   // thread-local-current for the duration, so spans recorded anywhere
   // below land in this request's trace.
-  // Ablation escape hatch, read once: getenv scans the whole environment
-  // block, which is too expensive to pay per request.
-  static const bool bare_dispatch = getenv("W5_ABL_BARE") != nullptr;
-  if (bare_dispatch) return router_.dispatch(request);
   const auto inherited = request.headers.get("X-W5-Trace");
   // X-W5-Sampled propagates the upstream sampling decision: "0" keeps an
   // inherited id from forcing spans on, "1" forces them on.
@@ -525,7 +521,7 @@ void Gateway::refresh_runtime_gauges() {
       .set(as_i64(net_stats.rejected_431_total.load()));
 
   // Connection-plane telemetry (DESIGN.md §15): live open/idle levels
-  // plus lifetime accept/timeout/reset totals, from either serving mode.
+  // plus lifetime accept/timeout/reset totals.
   const net::ConnStats& conn_stats = provider_.conn_stats();
   metrics.gauge("w5_net_open_connections").set(conn_stats.open.load());
   metrics.gauge("w5_net_idle_connections").set(conn_stats.idle.load());

@@ -4,7 +4,6 @@
 #include "core/statusz.h"
 #include "difc/codec.h"
 #include "net/cookies.h"
-#include "net/http_server.h"
 #include "net/tracing.h"
 #include "util/log.h"
 
@@ -12,6 +11,25 @@
 #include <sstream>
 
 namespace w5::platform {
+
+namespace {
+
+// True when the store record <collection>/<id> lists `viewer` in its
+// string array `field`. Membership lists (friend lists, group rosters)
+// are themselves user data in the store; the declassifiers that consult
+// them read with provider authority — they are inside the TCB and hold
+// the owner's privilege by construction.
+bool record_lists(store::LabeledStore& store, const std::string& collection,
+                  const std::string& id, std::string_view field,
+                  const std::string& viewer) {
+  auto record = store.get(os::kKernelPid, collection, id, store::Raise::kNo);
+  if (!record.ok()) return false;
+  for (const auto& entry : record.value().data.at(field).as_array())
+    if (entry.is_string() && entry.as_string() == viewer) return true;
+  return false;
+}
+
+}  // namespace
 
 Provider::Provider(ProviderConfig config, const util::Clock& clock)
     : config_(std::move(config)),
@@ -39,40 +57,19 @@ Provider::Provider(ProviderConfig config, const util::Clock& clock)
   // The standard declassifier library every provider ships (§3.1: "casual
   // W5 users will authorize only a small handful of reputable
   // declassifiers").
+  const auto is_friend = [this](const std::string& owner,
+                                const std::string& viewer) {
+    return record_lists(store_, "friends", owner, "friends", viewer);
+  };
   declassifiers_.add("std/owner-only", make_owner_only());
   declassifiers_.add("std/public", make_public());
-  declassifiers_.add(
-      "std/friends",
-      make_friend_list([this](const std::string& owner,
-                              const std::string& viewer) {
-        // Friend lists are themselves user data in the store; the
-        // declassifier reads with provider authority — it is inside the
-        // TCB and holds the owner's privilege by construction.
-        auto record =
-            store_.get(os::kKernelPid, "friends", owner, store::Raise::kNo);
-        if (!record.ok()) return false;
-        const util::Json& friends = record.value().data.at("friends");
-        for (const auto& entry : friends.as_array())
-          if (entry.is_string() && entry.as_string() == viewer) return true;
-        return false;
-      }));
+  declassifiers_.add("std/friends", make_friend_list(is_friend));
   declassifiers_.add("std/k-aggregate-3", make_k_aggregate(3));
   declassifiers_.add(
       "std/friends-rate-limited",
-      make_rate_limited(
-          make_friend_list([this](const std::string& owner,
-                                  const std::string& viewer) {
-            auto record = store_.get(os::kKernelPid, "friends", owner,
-                                     store::Raise::kNo);
-            if (!record.ok()) return false;
-            const util::Json& friends = record.value().data.at("friends");
-            for (const auto& entry : friends.as_array())
-              if (entry.is_string() && entry.as_string() == viewer)
-                return true;
-            return false;
-          }),
-          clock_, /*max_exports=*/100,
-          /*window_micros=*/60ll * 1000 * 1000));
+      make_rate_limited(make_friend_list(is_friend), clock_,
+                        /*max_exports=*/100,
+                        /*window_micros=*/60ll * 1000 * 1000));
 
   // Default simulated internet: echoes a canned payload. Examples and
   // tests replace this to observe traffic.
@@ -162,25 +159,6 @@ os::ThreadPool& Provider::worker_pool() {
 }
 
 std::size_t Provider::serve(net::TcpListener& listener) {
-  os::ThreadPool& pool = worker_pool();
-  // Admission control (DESIGN.md §12): try_submit sheds when the queue is
-  // at max_queued_connections and the server answers 503 + Retry-After
-  // instead of queueing without bound (at accept for the pooled server,
-  // at dispatch for the reactor — same observable behavior).
-  auto handler = [this](const net::HttpRequest& request) {
-    return handle(request);
-  };
-  auto submit = [&pool](std::function<void()> job) {
-    return pool.try_submit(std::move(job));
-  };
-  if (config_.serve_mode == ServeMode::kPooled) {
-    net::PooledHttpServer server(handler, submit, config_.http_limits,
-                                 config_.http_robustness, &server_stats_,
-                                 &conn_stats_);
-    const std::size_t dispatched = server.serve(listener);
-    pool.drain();  // finish in-flight connections before `server` dies
-    return dispatched;
-  }
   net::EventLoopOptions loop_options;
   loop_options.io_threads = config_.io_threads;
   // ---- Reactor telemetry (DESIGN.md §16) ---------------------------------
@@ -266,20 +244,28 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     }
   };
   // Inline dispatch runs handlers on the owning loop (no handoff, no
-  // 503 shed — overload becomes TCP backpressure); pooled dispatch keeps
-  // blocking handlers off the loops and sheds via try_submit above.
-  net::BoundedExecutor dispatch = submit;
-  if (config_.app_dispatch == AppDispatch::kInline)
-    dispatch = [](std::function<void()> job) {
-      job();
-      return true;
+  // 503 shed — overload becomes TCP backpressure) and starts no workers.
+  // Pooled dispatch keeps blocking handlers off the loops; try_submit
+  // refuses once max_queued_connections jobs wait, and the reactor
+  // answers 503 + Retry-After (admission control, DESIGN.md §12).
+  os::ThreadPool* pool = config_.app_dispatch == AppDispatch::kPooled
+                             ? &worker_pool()
+                             : nullptr;
+  net::BoundedExecutor dispatch = [](std::function<void()> job) {
+    job();
+    return true;
+  };
+  if (pool != nullptr)
+    dispatch = [pool](std::function<void()> job) {
+      return pool->try_submit(std::move(job));
     };
-  net::EventLoopHttpServer server(handler, std::move(dispatch),
-                                  config_.http_limits,
-                                  config_.http_robustness, loop_options,
-                                  &server_stats_, &conn_stats_);
+  net::EventLoopHttpServer server(
+      [this](const net::HttpRequest& request) { return handle(request); },
+      std::move(dispatch), config_.http_limits, config_.http_robustness,
+      loop_options, &server_stats_, &conn_stats_);
   const std::size_t accepted = server.serve(listener);
-  pool.drain();  // in-flight handlers post into the server's mailboxes
+  // In-flight handlers post into the server's mailboxes.
+  if (pool != nullptr) pool->drain();
   return accepted;
 }
 
@@ -369,12 +355,7 @@ void Provider::add_group_declassifier(const std::string& group) {
       "std/group/" + group,
       make_group(group, [this](const std::string& group_name,
                                const std::string& viewer) {
-        auto record = store_.get(os::kKernelPid, "groups", group_name,
-                                 store::Raise::kNo);
-        if (!record.ok()) return false;
-        for (const auto& entry : record.value().data.at("members").as_array())
-          if (entry.is_string() && entry.as_string() == viewer) return true;
-        return false;
+        return record_lists(store_, "groups", group_name, "members", viewer);
       }));
 }
 

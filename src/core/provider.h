@@ -23,7 +23,6 @@
 #include "net/event_loop_server.h"
 #include "net/http.h"
 #include "net/http_parser.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
 #include "os/filesystem.h"
 #include "os/kernel.h"
@@ -77,18 +76,8 @@ struct FederatedPage {
 using FederatedSearchFn = std::function<util::Result<FederatedPage>(
     os::Pid pid, const std::string& viewer, const FederatedQuery& query)>;
 
-// How serve() multiplexes TCP clients (DESIGN.md §15). Same handler,
-// same robustness semantics; only the I/O model differs.
-enum class ServeMode : std::uint8_t {
-  // Epoll edge-triggered reactor (net::EventLoopHttpServer): a few I/O
-  // loops multiplex all connections; workers run only application code.
-  kEventLoop,
-  // Worker-per-connection (net::PooledHttpServer): each accepted socket
-  // pins one pool worker for its whole life. The pre-§15 behavior.
-  kPooled,
-};
-
-// Where the reactor runs application handlers (kEventLoop only).
+// Where the reactor (net::EventLoopHttpServer, DESIGN.md §15) runs
+// application handlers.
 enum class AppDispatch : std::uint8_t {
   // On the owning I/O loop, synchronously. No cross-thread handoff — the
   // right default for the fast in-memory gateway path; overload shows up
@@ -121,29 +110,29 @@ struct ProviderConfig {
   };
   bool strip_javascript = true;  // §3.5 client-side support
   net::ParserLimits http_limits;
-  // Worker threads for serve(); connections queue beyond this (bounded
-  // concurrency is the §3.5 admission control, not thread-per-client).
+  // Worker threads for AppDispatch::kPooled; handlers queue beyond this
+  // (bounded concurrency is the §3.5 admission control, not
+  // thread-per-client). Unused under the default inline dispatch.
   std::size_t worker_threads = 8;
   // ---- Robustness (DESIGN.md §12) ----------------------------------------
   // Slow-client reaping defaults: a client gets 10 s to deliver its
-  // header block, 30 s for the declared body, and 10 s per response
-  // write before the connection is reaped (0 disables a deadline).
+  // header block, 30 s for the declared body, and 10 s to drain each
+  // response before the connection is reaped (0 disables a deadline).
   net::ServerOptions http_robustness{
       .header_deadline_micros = 10'000'000,
       .body_deadline_micros = 30'000'000,
       .write_timeout_micros = 10'000'000,
   };
-  // Connections allowed to wait for a worker; beyond this the accept
-  // loop sheds with 503 + Retry-After instead of queueing unboundedly.
+  // Under AppDispatch::kPooled, requests allowed to wait for a worker;
+  // beyond this the reactor sheds with 503 + Retry-After instead of
+  // queueing unboundedly.
   std::size_t max_queued_connections = 256;
-  // ---- Serving mode (DESIGN.md §15) ---------------------------------------
-  ServeMode serve_mode = ServeMode::kEventLoop;
-  // Reactor I/O loop threads (kEventLoop only). One loop multiplexes
-  // tens of thousands of connections; raise only when a single core
-  // cannot keep up with parsing + framing.
+  // ---- Serving (DESIGN.md §15) --------------------------------------------
+  // Reactor I/O loop threads. One loop multiplexes tens of thousands of
+  // connections; raise it to use more cores.
   std::size_t io_threads = 1;
-  // Reactor handler placement (kEventLoop only): inline on the loop by
-  // default; kPooled offloads to the worker pool for blocking handlers.
+  // Reactor handler placement: inline on the loop by default; kPooled
+  // offloads to the worker pool for blocking handlers.
   AppDispatch app_dispatch = AppDispatch::kInline;
   // Per-request wall-clock budget stamped into RequestContext at the
   // gateway (tightened by a client X-W5-Deadline-Ms header; 0 disables).
@@ -222,18 +211,18 @@ class Provider {
   util::Result<std::string> login(const std::string& user,
                                   const std::string& password);
 
-  // Full HTTP round trip through the gateway. Thread-safe: the worker
-  // pool calls this concurrently; all provider state is internally
+  // Full HTTP round trip through the gateway. Thread-safe: reactor loops
+  // and workers call this concurrently; all provider state is internally
   // locked (see DESIGN.md "Concurrency model").
   net::HttpResponse handle(const net::HttpRequest& request);
 
-  // Serves real TCP clients on config().worker_threads workers. Blocks
-  // until the listener is closed (call listener.close() from elsewhere).
-  // Returns the number of connections dispatched.
+  // Serves real TCP clients on the reactor, config().io_threads loops.
+  // Blocks until the listener is closed (call listener.close() from
+  // elsewhere). Returns the number of connections accepted.
   std::size_t serve(net::TcpListener& listener);
 
-  // The pool behind serve(), created lazily (tests that never serve()
-  // spawn no threads).
+  // The pool behind AppDispatch::kPooled, created by the first serve()
+  // that dispatches to it (inline dispatch spawns no workers).
   os::ThreadPool& worker_pool();
   // Non-spawning view for /metrics: null until worker_pool() has run, so
   // a scrape never starts threads as a side effect.
@@ -250,7 +239,7 @@ class Provider {
 
   // Connection-plane gauges/counters for serve() (DESIGN.md §15):
   // open/idle levels, accepts, timeout closes, resets. Exported via
-  // /metrics in both serving modes.
+  // /metrics.
   net::ConnStats& conn_stats() noexcept { return conn_stats_; }
   const net::ConnStats& conn_stats() const noexcept { return conn_stats_; }
 

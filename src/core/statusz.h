@@ -1,5 +1,5 @@
 // /debug/statusz: one JSON page answering "what is this provider doing
-// right now" (DESIGN.md §16) — build info, serving mode, per-loop
+// right now" (DESIGN.md §16) — build info, serving config, per-loop
 // reactor counters, durability plane state, per-peer federation breaker
 // states, and trace-buffer health. Aggregation only: every number here
 // already exists elsewhere (metrics, stats structs, durability status);

@@ -19,7 +19,7 @@ namespace w5::net {
 namespace {
 
 // Deadlines reap real stalled sockets, so the reactor reads the wall
-// clock directly (same rationale as http_server.cpp).
+// clock directly rather than threading a Clock& through every transport.
 util::Micros wall_now() {
   static const util::WallClock clock;
   return clock.now();
@@ -508,8 +508,7 @@ void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
       }
       if (code == "net.timeout") {
         // An injected drop (FaultyConnection): nothing further arrives on
-        // this connection — same terminal-timeout semantics as the
-        // blocking path.
+        // this connection — a terminal timeout, as in net::HttpServer.
         count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
         reap(loop, conn, conn.got_bytes);
         return;
@@ -520,8 +519,8 @@ void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
     }
     if (n.value() == 0) {  // EOF
       if (conn.state == Conn::State::kReading) {
-        // Mid-request close: tell the client why (blocking-path parity),
-        // best-effort — the peer may only be half-closed.
+        // Mid-request close: tell the client why, best-effort — the peer
+        // may only be half-closed.
         HttpResponse bad = HttpResponse::text(400, "truncated request\n");
         bad.headers.set("Connection", "close");
         stamp_trace_echo(bad, conn.parser.parsed_headers());
@@ -550,8 +549,7 @@ std::size_t EventLoopHttpServer::feed(Loop& loop, Conn& conn,
     conn.state = Conn::State::kReading;
     conn.got_bytes = true;
     if (stage_enabled_) conn.t_request_start = wall_now();
-    // The header deadline keeps running from idle entry (request start) —
-    // same clock the blocking path uses.
+    // The header deadline keeps running from idle entry (request start).
   }
   const std::size_t consumed = conn.parser.feed(data);
   if (conn.parser.failed()) {
@@ -567,8 +565,8 @@ std::size_t EventLoopHttpServer::feed(Loop& loop, Conn& conn,
     }
     HttpResponse rejection =
         HttpResponse::text(status, conn.parser.error().code + "\n");
-    // Early-exit parity with the pooled path: echo a validated inbound
-    // X-W5-Trace so the caller's trace shows where the hop failed.
+    // Echo a validated inbound X-W5-Trace so the caller's trace shows
+    // where the hop failed.
     stamp_trace_echo(rejection, conn.parser.parsed_headers());
     disarm_timer(conn);
     start_write(loop, conn, std::move(rejection), /*close_after=*/true,
@@ -576,7 +574,7 @@ std::size_t EventLoopHttpServer::feed(Loop& loop, Conn& conn,
     return consumed;
   }
   if (!conn.in_body_phase && conn.parser.state() == ParseState::kBody) {
-    // Body phase restarts the clock (blocking-path parity).
+    // The body phase restarts the clock.
     conn.in_body_phase = true;
     disarm_timer(conn);
     if (options_.body_deadline_micros > 0)
@@ -630,9 +628,8 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
         mailbox->post(std::move(item));
       });
   if (!admitted) {
-    // Load shed. The blocking server sheds at accept; the reactor parses
-    // headers on the (cheap) I/O loop and sheds at dispatch — same
-    // observable 503 + Retry-After + close.
+    // Load shed: the headers were parsed on the (cheap) I/O loop; the
+    // client gets 503 + Retry-After + close instead of an unbounded queue.
     count(stats_ != nullptr ? &stats_->shed_total : nullptr);
     HttpResponse shed = HttpResponse::text(503, "overloaded, retry later\n");
     shed.headers.set("Retry-After",
@@ -771,7 +768,7 @@ void EventLoopHttpServer::reap(Loop& loop, Conn& conn, bool send_408) {
     // Best-effort single write: a client slow enough to be reaped rarely
     // has a full receive window, and we will not wait on one that does.
     // The partially parsed headers may already carry a valid X-W5-Trace;
-    // echo it (pooled-path parity).
+    // echo it.
     HttpResponse timeout = HttpResponse::text(408, "request timeout\n");
     timeout.headers.set("Connection", "close");
     stamp_trace_echo(timeout, conn.parser.parsed_headers());

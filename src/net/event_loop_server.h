@@ -1,24 +1,22 @@
-// Epoll edge-triggered reactor: event-driven HTTP serving (DESIGN.md §15).
+// Epoll edge-triggered reactor: the provider's TCP front door
+// (DESIGN.md §15).
 //
-// The worker-per-connection PooledHttpServer pins one pool worker per
-// open socket for the connection's whole life — an idle keep-alive
-// client costs a thread. This server inverts the model: a small set of
-// I/O loop threads multiplex every connection with epoll(7) in
-// edge-triggered mode, each connection a state machine
+// A small set of I/O loop threads multiplex every connection with
+// epoll(7) in edge-triggered mode, each connection a state machine
 //
 //   idle → reading (headers → body) → dispatched → writing → idle
 //
 // driving the incremental net/http_parser. Application work (the
-// ServerHandler) still runs on the caller's executor (the provider's
-// thread pool); the finished response is handed back to the connection's
-// owning loop through a mailbox + eventfd wakeup, so connection state is
-// only ever touched by its owning loop thread — the thread-ownership
-// rule that keeps the reactor lock-free on the hot path.
+// ServerHandler) runs where the executor puts it: inline on the owning
+// loop, or on the provider's worker pool, in which case the finished
+// response is handed back to the connection's owning loop through a
+// mailbox + eventfd wakeup. Connection state is only ever touched by its
+// owning loop thread — the thread-ownership rule that keeps the reactor
+// lock-free on the hot path.
 //
-// Deadlines (the same ServerOptions the pooled server honors — header/
-// idle, body, and write budgets, 408/413/431/503 semantics preserved
-// behavior-for-behavior) come from a hashed timer wheel per loop instead
-// of poll-quantum wakeups: tens of thousands of idle keep-alive
+// Deadlines (ServerOptions: header/idle, body and write budgets, with
+// 408/413/431/503 semantics) come from a hashed timer wheel per loop
+// instead of poll-quantum wakeups: tens of thousands of idle keep-alive
 // connections sleep in the epoll set at ~0 CPU until bytes arrive or
 // their deadline slot comes up.
 #pragma once
@@ -41,6 +39,51 @@
 #include "util/thread_annotations.h"
 
 namespace w5::net {
+
+// Admission-controlled executor: runs a job (inline, or on a worker
+// pool) and returns false when the job was refused (queue full, pool
+// stopping) — the reactor then sheds the request with a 503 instead of
+// queueing unboundedly. Keeps the net layer free of a dependency on
+// os::ThreadPool; the provider passes its pool's try_submit() here.
+using BoundedExecutor = std::function<bool(std::function<void()>)>;
+
+// Robustness knobs (DESIGN.md §12). All deadlines are wall-clock micros;
+// 0 disables that deadline.
+struct ServerOptions {
+  // From the start of a request (or keep-alive idle) until the header
+  // block is complete. Doubles as the idle-connection cap: a keep-alive
+  // client that sends nothing for this long is closed (without a 408).
+  util::Micros header_deadline_micros = 0;
+  // From headers-complete until the declared body has fully arrived.
+  util::Micros body_deadline_micros = 0;
+  // From the first byte of a response until its last: a receiver that
+  // never drains is reaped.
+  util::Micros write_timeout_micros = 0;
+  // Retry-After seconds advertised on shed (503) responses.
+  int retry_after_seconds = 1;
+};
+
+// Shared robustness counters, exported at /metrics. Owned by the caller
+// (the Provider) and written with relaxed atomics from every loop.
+struct ServerStats {
+  std::atomic<std::uint64_t> handled_total{0};     // requests served
+  std::atomic<std::uint64_t> timeouts_total{0};    // read/write timeouts seen
+  std::atomic<std::uint64_t> reaped_total{0};      // connections killed by deadline
+  std::atomic<std::uint64_t> shed_total{0};        // 503s sent at dispatch
+  std::atomic<std::uint64_t> rejected_413_total{0};
+  std::atomic<std::uint64_t> rejected_431_total{0};
+};
+
+// Connection-plane telemetry (DESIGN.md §15), exported as the w5_net_*
+// connection family at /metrics. Gauges are live levels; counters are
+// lifetime totals.
+struct ConnStats {
+  std::atomic<std::int64_t> open{0};   // accepted and not yet closed
+  std::atomic<std::int64_t> idle{0};   // open, keep-alive, no request bytes
+  std::atomic<std::uint64_t> accepted_total{0};
+  std::atomic<std::uint64_t> timeout_closes_total{0};  // closed by deadline
+  std::atomic<std::uint64_t> reset_total{0};  // peer reset / abrupt close
+};
 
 // Wraps each accepted connection before the reactor performs any I/O on
 // it — the chaos hook: tests wrap accepted sockets in FaultyConnection
@@ -118,7 +161,7 @@ class EventLoopHttpServer {
   EventLoopHttpServer& operator=(const EventLoopHttpServer&) = delete;
 
   // Runs the reactor until the listener is closed (listener.close() from
-  // another thread, the same shutdown contract as PooledHttpServer).
+  // another thread).
   // Returns the number of connections accepted. The caller is
   // responsible for draining its executor afterwards — completions for
   // connections that no longer exist are dropped harmlessly.

@@ -1,157 +1,80 @@
 #include "net/http_server.h"
 
-#include <algorithm>
-
 #include "net/tracing.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace w5::net {
 
 namespace {
 
-// Deadlines are real time by definition (they reap real stalled
-// sockets), so the server reads the wall clock directly rather than
-// threading a Clock& through every transport.
-util::Micros wall_now() {
-  static const util::WallClock clock;
-  return clock.now();
-}
-
-void count(std::atomic<std::uint64_t>* counter) {
-  if (counter != nullptr) counter->fetch_add(1, std::memory_order_relaxed);
+// Answers an early exit (400/408/413/431) and closes. The response echoes
+// a validated X-W5-Trace from the partially parsed headers, so the
+// caller's trace shows where the hop died.
+void reject(Connection& connection, int status, std::string body,
+            const Headers& parsed_headers) {
+  HttpResponse response = HttpResponse::text(status, std::move(body));
+  response.headers.set("Connection", "close");
+  stamp_trace_echo(response, parsed_headers);
+  (void)connection.write(response.to_wire());
+  connection.close();
 }
 
 }  // namespace
 
-util::Status HttpServer::respond(Connection& connection,
-                                 const HttpResponse& response) {
-  if (options_.write_timeout_micros > 0)
-    connection.set_write_timeout(options_.write_timeout_micros);
-  return connection.write(response.to_wire());
-}
-
-util::Error HttpServer::reap(Connection& connection, bool got_bytes,
-                             const Headers& parsed_headers) {
-  count(stats_ != nullptr ? &stats_->reaped_total : nullptr);
-  count(conn_stats_ != nullptr ? &conn_stats_->timeout_closes_total : nullptr);
-  if (got_bytes) {
-    // A client mid-request gets told why; a fully idle keep-alive
-    // connection is just closed (nothing was asked, nothing is owed).
-    // If the stalled request already delivered a valid X-W5-Trace, the
-    // 408 echoes it so the caller's trace shows where the hop died.
-    HttpResponse timeout = HttpResponse::text(408, "request timeout\n");
-    timeout.headers.set("Connection", "close");
-    stamp_trace_echo(timeout, parsed_headers);
-    (void)respond(connection, timeout);
-  }
-  connection.close();
-  return util::make_error("http.timeout", "client stalled past deadline");
-}
-
 util::Result<bool> HttpServer::handle_one(Connection& connection) {
+  std::string surplus;
+  return handle_one(connection, surplus);
+}
+
+util::Result<bool> HttpServer::handle_one(Connection& connection,
+                                          std::string& surplus) {
   RequestParser parser(limits_);
+  bool got_bytes = !surplus.empty();
+  if (got_bytes) surplus.erase(0, parser.feed(surplus));
   char buf[8192];
-  bool got_bytes = false;
-  // Connection-plane idle gauge: the connection sits idle until the
-  // first byte of a request arrives. The guard unwinds on every exit.
-  struct IdleGuard {
-    ConnStats* stats;
-    bool marked = false;
-    void mark() {
-      if (stats != nullptr && !marked) {
-        stats->idle.fetch_add(1, std::memory_order_relaxed);
-        marked = true;
-      }
-    }
-    void unmark() {
-      if (stats != nullptr && marked) {
-        stats->idle.fetch_sub(1, std::memory_order_relaxed);
-        marked = false;
-      }
-    }
-    ~IdleGuard() { unmark(); }
-  } idle{conn_stats_};
-  idle.mark();
-  // Phase deadlines: headers run against header_deadline from the first
-  // read attempt; the body phase restarts the clock when headers finish.
-  const util::Micros started =
-      options_.header_deadline_micros > 0 || options_.body_deadline_micros > 0
-          ? wall_now()
-          : 0;
-  util::Micros body_started = 0;
   while (!parser.complete() && !parser.failed()) {
-    const bool in_body = parser.state() == ParseState::kBody;
-    if (in_body && body_started == 0) body_started = wall_now();
-    const util::Micros deadline = in_body ? options_.body_deadline_micros
-                                          : options_.header_deadline_micros;
-    if (deadline > 0) {
-      const util::Micros phase_start = in_body ? body_started : started;
-      const util::Micros remaining = deadline - (wall_now() - phase_start);
-      if (remaining <= 0) {
-        count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
-        return reap(connection, got_bytes, parser.parsed_headers());
-      }
-      // One poll(2) until the phase deadline itself: the transport wakes
-      // when bytes arrive or the remaining budget elapses, so an idle
-      // keep-alive connection costs zero wakeups between requests
-      // (previously this clamped to io_poll_micros and busy-woke every
-      // 50 ms to re-check a deadline that could not have moved).
-      connection.set_read_timeout(std::max<util::Micros>(remaining, 1));
-    }
     auto n = connection.read(buf, sizeof(buf));
     if (!n.ok()) {
       if (n.error().code == "net.timeout") {
-        // A poll slice elapsing is not a timeout event — the deadline
-        // loop above decides; only a terminal timeout counts.
-        if (deadline > 0) continue;
-        // No deadline configured but the transport timed out anyway
-        // (e.g. an injected drop): nothing further will arrive.
-        count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
-        return reap(connection, got_bytes, parser.parsed_headers());
+        // The transport gave up (an injected drop): nothing further will
+        // arrive. A client mid-request is told why; an idle keep-alive
+        // connection is just closed (nothing was asked, nothing is owed).
+        if (got_bytes) {
+          reject(connection, 408, "request timeout\n",
+                 parser.parsed_headers());
+        } else {
+          connection.close();
+        }
+        return util::make_error("http.timeout", "client stalled past deadline");
       }
       if (n.error().code == "net.would_block") {
         if (!got_bytes) return false;  // idle connection, nothing to do
         // Partial request with no more bytes available: with a
         // single-threaded in-memory transport this cannot resolve.
-        HttpResponse incomplete =
-            HttpResponse::text(400, "incomplete request\n");
-        stamp_trace_echo(incomplete, parser.parsed_headers());
-        (void)respond(connection, incomplete);
-        connection.close();
+        reject(connection, 400, "incomplete request\n",
+               parser.parsed_headers());
         return util::make_error("http.incomplete", "request truncated");
       }
       return n.error();
     }
     if (n.value() == 0) {
       if (!got_bytes) return false;  // clean EOF between requests
-      HttpResponse truncated = HttpResponse::text(400, "truncated request\n");
-      stamp_trace_echo(truncated, parser.parsed_headers());
-      (void)respond(connection, truncated);
-      connection.close();
+      reject(connection, 400, "truncated request\n", parser.parsed_headers());
       return util::make_error("http.incomplete", "EOF mid-request");
     }
     got_bytes = true;
-    idle.unmark();
-    parser.feed(std::string_view(buf, n.value()));
+    const std::string_view data(buf, n.value());
+    surplus.append(data.substr(parser.feed(data)));
   }
 
   if (parser.failed()) {
     // 431: header block over budget; 413: declared body over budget;
     // anything else is a plain parse failure.
     int status = 400;
-    if (parser.error().code == "http.too_large") {
-      status = 413;
-      count(stats_ != nullptr ? &stats_->rejected_413_total : nullptr);
-    } else if (parser.error().code == "http.headers_too_large") {
-      status = 431;
-      count(stats_ != nullptr ? &stats_->rejected_431_total : nullptr);
-    }
-    HttpResponse rejected =
-        HttpResponse::text(status, parser.error().code + "\n");
-    stamp_trace_echo(rejected, parser.parsed_headers());
-    (void)respond(connection, rejected);
-    connection.close();
+    if (parser.error().code == "http.too_large") status = 413;
+    if (parser.error().code == "http.headers_too_large") status = 431;
+    reject(connection, status, parser.error().code + "\n",
+           parser.parsed_headers());
     return parser.error();
   }
 
@@ -160,67 +83,21 @@ util::Result<bool> HttpServer::handle_one(Connection& connection) {
       !util::iequals(request.headers.get("Connection").value_or(""), "close");
   HttpResponse response = handler_(request);
   if (!keep_alive) response.headers.set("Connection", "close");
-  if (auto written = respond(connection, response); !written.ok()) {
-    if (written.error().code == "net.timeout") {
-      // The receiver never drained its side; reap rather than block the
-      // worker behind a full send buffer.
-      count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
-      count(stats_ != nullptr ? &stats_->reaped_total : nullptr);
-      connection.close();
-    }
+  if (auto written = connection.write(response.to_wire()); !written.ok())
     return written.error();
-  }
-  count(stats_ != nullptr ? &stats_->handled_total : nullptr);
   if (!keep_alive) connection.close();
   return true;
 }
 
 std::size_t HttpServer::serve(Connection& connection) {
+  std::string surplus;
   std::size_t handled = 0;
   while (!connection.closed()) {
-    auto result = handle_one(connection);
+    auto result = handle_one(connection, surplus);
     if (!result.ok() || !result.value()) break;
     ++handled;
   }
   return handled;
-}
-
-std::size_t PooledHttpServer::serve(TcpListener& listener) {
-  std::size_t dispatched = 0;
-  while (true) {
-    auto accepted = listener.accept();
-    if (!accepted.ok()) break;  // listener closed or fatal accept error
-    // shared_ptr: std::function requires a copyable closure.
-    std::shared_ptr<Connection> connection = std::move(accepted).value();
-    if (conn_stats_ != nullptr) {
-      conn_stats_->accepted_total.fetch_add(1, std::memory_order_relaxed);
-      conn_stats_->open.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!executor_([this, connection] {
-          server_.serve(*connection);
-          if (conn_stats_ != nullptr)
-            conn_stats_->open.fetch_sub(1, std::memory_order_relaxed);
-        })) {
-      // Load shed: tell the client to come back rather than queueing
-      // without bound. Sent on the accept thread — cheap by design (the
-      // whole point is that workers are busy).
-      if (stats_ != nullptr)
-        stats_->shed_total.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse shed = HttpResponse::text(503, "overloaded, retry later\n");
-      shed.headers.set("Retry-After",
-                       std::to_string(options_.retry_after_seconds));
-      shed.headers.set("Connection", "close");
-      if (options_.write_timeout_micros > 0)
-        connection->set_write_timeout(options_.write_timeout_micros);
-      (void)connection->write(shed.to_wire());
-      connection->close();
-      if (conn_stats_ != nullptr)
-        conn_stats_->open.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    ++dispatched;
-  }
-  return dispatched;
 }
 
 }  // namespace w5::net

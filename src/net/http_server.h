@@ -1,156 +1,49 @@
-// HTTP server loop over a Connection.
+// Blocking HTTP/1.1 server loop over one Connection.
 //
 // The server is transport-agnostic: feed it any Connection (in-memory
 // pipe, TCP socket) and it parses requests, invokes the handler, and
-// writes responses, honoring HTTP/1.1 keep-alive and emitting 400s for
-// parse failures. With ServerOptions deadlines configured it is also the
-// slow-client perimeter: a client that trickles headers, stalls
-// mid-body, or never drains its receive buffer is reaped within the
-// configured deadline instead of pinning a pool worker forever.
+// writes responses, honoring HTTP/1.1 keep-alive and pipelining and
+// answering parse failures with 400/413/431. fed::Node serves federation
+// peers with it over the in-memory transport; TCP clients of a provider
+// go through the reactor (net/event_loop_server.h) instead.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 
 #include "net/http.h"
 #include "net/http_parser.h"
-#include "net/tcp.h"
 #include "net/transport.h"
-#include "util/clock.h"
 
 namespace w5::net {
 
 using ServerHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-// Runs a job somewhere — inline, or on a worker pool. Keeps the net
-// layer free of a dependency on os::ThreadPool; the provider passes its
-// pool's submit() here.
-using Executor = std::function<void(std::function<void()>)>;
-
-// Admission-controlled executor: returns false when the job was refused
-// (queue full, pool stopping) — the caller sheds the connection with a
-// 503 instead of queueing unboundedly.
-using BoundedExecutor = std::function<bool(std::function<void()>)>;
-
-// Robustness knobs (DESIGN.md §12). All deadlines are wall-clock micros;
-// 0 disables that deadline (the seed behavior: block forever).
-struct ServerOptions {
-  // From the start of a request (or keep-alive idle) until the header
-  // block is complete. Doubles as the idle-connection cap: a keep-alive
-  // client that sends nothing for this long is closed (without a 408).
-  util::Micros header_deadline_micros = 0;
-  // From headers-complete until the declared body has fully arrived.
-  util::Micros body_deadline_micros = 0;
-  // Per write() call: a receiver that never drains is reaped.
-  util::Micros write_timeout_micros = 0;
-  // Vestigial (kept for config compatibility): blocked reads now poll(2)
-  // until the computed phase deadline in one sleep instead of waking
-  // every quantum to re-check, so an idle keep-alive connection costs no
-  // CPU between requests. The deadline math never depended on this knob.
-  util::Micros io_poll_micros = 50'000;
-  // Retry-After seconds advertised on shed (503) responses.
-  int retry_after_seconds = 1;
-};
-
-// Shared robustness counters, exported at /metrics. Owned by the caller
-// (the Provider) and written with relaxed atomics from every worker.
-struct ServerStats {
-  std::atomic<std::uint64_t> handled_total{0};     // requests served
-  std::atomic<std::uint64_t> timeouts_total{0};    // read/write timeouts seen
-  std::atomic<std::uint64_t> reaped_total{0};      // connections killed by deadline
-  std::atomic<std::uint64_t> shed_total{0};        // 503s sent at admission
-  std::atomic<std::uint64_t> rejected_413_total{0};
-  std::atomic<std::uint64_t> rejected_431_total{0};
-};
-
-// Connection-plane telemetry (DESIGN.md §15), shared by both serving
-// modes and exported as the w5_net_* connection family at /metrics.
-// Gauges are live levels; counters are lifetime totals.
-struct ConnStats {
-  std::atomic<std::int64_t> open{0};   // accepted and not yet closed
-  std::atomic<std::int64_t> idle{0};   // open, keep-alive, no request bytes
-  std::atomic<std::uint64_t> accepted_total{0};
-  std::atomic<std::uint64_t> timeout_closes_total{0};  // closed by deadline
-  std::atomic<std::uint64_t> reset_total{0};  // peer reset / abrupt close
-};
-
+// Stateless across connections: one server may serve many connections,
+// from many threads at once.
 class HttpServer {
  public:
-  explicit HttpServer(ServerHandler handler, ParserLimits limits = {},
-                      ServerOptions options = {}, ServerStats* stats = nullptr,
-                      ConnStats* conn_stats = nullptr)
-      : handler_(std::move(handler)),
-        limits_(limits),
-        options_(options),
-        stats_(stats),
-        conn_stats_(conn_stats) {}
+  explicit HttpServer(ServerHandler handler, ParserLimits limits = {})
+      : handler_(std::move(handler)), limits_(limits) {}
 
-  // Serves requests until EOF, close, or a fatal transport/parse error.
-  // Returns the number of requests successfully handled.
+  // Serves requests until EOF, close, no more buffered bytes, or a fatal
+  // transport/parse error. Bytes read past the end of one request (a
+  // pipelined next request) are carried into the next. Returns the
+  // number of requests successfully handled.
   std::size_t serve(Connection& connection);
 
-  // Handles at most one request already buffered in the connection.
-  // Returns true if a request was handled; false on EOF/no-data.
+  // Handles at most one request already buffered in the connection;
+  // bytes read past its end are dropped. Returns true if a request was
+  // handled; false on EOF/no-data.
   util::Result<bool> handle_one(Connection& connection);
 
  private:
-  util::Status respond(Connection& connection, const HttpResponse& response);
-  // Reap helper: optional 408 (echoing a validated X-W5-Trace from the
-  // partially parsed headers), close, count.
-  util::Error reap(Connection& connection, bool got_bytes,
-                   const Headers& parsed_headers);
+  // handle_one over `surplus`: unparsed bytes from the previous request
+  // on entry, bytes past this request's end on exit.
+  util::Result<bool> handle_one(Connection& connection, std::string& surplus);
 
   ServerHandler handler_;
   ParserLimits limits_;
-  ServerOptions options_;
-  ServerStats* stats_;
-  ConnStats* conn_stats_ = nullptr;
-};
-
-// Accept loop + worker-pool dispatch: the concurrent front door. The
-// calling thread blocks in accept(); each accepted connection is handed
-// to the executor, where a (shared, stateless) HttpServer speaks
-// HTTP/1.1 with that client until it disconnects. The handler therefore
-// runs on many threads at once — everything it touches must be
-// thread-safe (which is the point of this PR's locking work).
-//
-// With a BoundedExecutor the accept loop is also the admission
-// controller: a refused dispatch answers 503 + Retry-After on the
-// accepting thread and closes, so overload degrades into fast, explicit
-// rejections instead of an unbounded queue.
-class PooledHttpServer {
- public:
-  PooledHttpServer(ServerHandler handler, Executor executor,
-                   ParserLimits limits = {})
-      : server_(std::move(handler), limits),
-        executor_([run = std::move(executor)](std::function<void()> job) {
-          run(std::move(job));
-          return true;
-        }) {}
-
-  PooledHttpServer(ServerHandler handler, BoundedExecutor executor,
-                   ParserLimits limits, ServerOptions options,
-                   ServerStats* stats = nullptr,
-                   ConnStats* conn_stats = nullptr)
-      : server_(std::move(handler), limits, options, stats, conn_stats),
-        executor_(std::move(executor)),
-        options_(options),
-        stats_(stats),
-        conn_stats_(conn_stats) {}
-
-  // Accepts until the listener is closed (listener.close() from another
-  // thread unblocks accept with an error). Returns the number of
-  // connections dispatched (shed connections are not counted).
-  std::size_t serve(TcpListener& listener);
-
- private:
-  HttpServer server_;
-  BoundedExecutor executor_;
-  ServerOptions options_;
-  ServerStats* stats_ = nullptr;
-  ConnStats* conn_stats_ = nullptr;
 };
 
 }  // namespace w5::net

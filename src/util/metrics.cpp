@@ -201,19 +201,21 @@ std::string MetricsRegistry::to_prometheus() const {
   const MutexLock lock(mutex_);
   std::string out;
   out.reserve(4096);
+  // last_family is a copy, not a view: a histogram's family points into
+  // a per-series temporary that dies before the next series is rendered.
   const auto emit_type = [&out](std::string_view family,
                                 std::string_view type,
-                                std::string_view& last_family) {
+                                std::string& last_family) {
     if (family == last_family) return;
     out += "# TYPE ";
     out += family;
     out += ' ';
     out += type;
     out += '\n';
-    last_family = family;
+    last_family.assign(family);
   };
 
-  std::string_view last_family;
+  std::string last_family;
   for (const auto& [name, counter] : counters_) {
     emit_type(family_of(name), "counter", last_family);
     out += prometheus_safe_name(name);
@@ -221,7 +223,7 @@ std::string MetricsRegistry::to_prometheus() const {
     out += std::to_string(counter->value());
     out += '\n';
   }
-  last_family = {};
+  last_family.clear();
   for (const auto& [name, gauge] : gauges_) {
     emit_type(family_of(name), "gauge", last_family);
     out += prometheus_safe_name(name);
@@ -229,7 +231,7 @@ std::string MetricsRegistry::to_prometheus() const {
     out += std::to_string(gauge->value());
     out += '\n';
   }
-  last_family = {};
+  last_family.clear();
   for (const auto& [name, histogram] : histograms_) {
     const std::string safe = prometheus_safe_name(name);
     const std::string_view fam = family_of(safe);

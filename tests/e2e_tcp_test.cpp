@@ -1,8 +1,9 @@
 // Full-stack integration over real TCP sockets: browser-equivalent client
 // speaks HTTP/1.1 to a provider served by the TCP listener, exercising
 // parse → auth → app → perimeter → serialize end to end. Parameterized
-// over both serving modes (DESIGN.md §15): the epoll reactor and the
-// worker-per-connection pool must be observably identical here.
+// over where the reactor runs handlers (DESIGN.md §15): on the event
+// loop itself, or on the worker pool completing through the loop's
+// mailbox — the two must be observably identical here.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +12,6 @@
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "net/http_client.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
 
 namespace w5 {
@@ -21,25 +21,20 @@ using net::HttpRequest;
 using net::HttpResponse;
 using net::Method;
 
-class TcpEndToEnd : public ::testing::TestWithParam<platform::ServeMode> {
+class TcpEndToEnd : public ::testing::TestWithParam<platform::AppDispatch> {
  protected:
   void SetUp() override {
     platform::ProviderConfig config;
-    config.serve_mode = GetParam();
+    config.app_dispatch = GetParam();
     provider_ =
         std::make_unique<platform::Provider>(std::move(config), clock_);
     apps::register_standard_apps(*provider_);
     ASSERT_TRUE(listener_.listen(0).ok());
-    // Either mode: requests are handled on the provider's worker threads,
-    // so concurrent clients exercise the locked hot path.
     server_thread_ = std::thread([this] { provider_->serve(listener_); });
   }
 
   void TearDown() override {
-    listener_.close();
-    // Unblock a blocking accept() by poking the port if needed (the
-    // reactor notices the closed listener on its own).
-    (void)net::tcp_connect(port());
+    listener_.close();  // the reactor notices the closed listener
     server_thread_.join();
   }
 
@@ -71,11 +66,11 @@ class TcpEndToEnd : public ::testing::TestWithParam<platform::ServeMode> {
 
 INSTANTIATE_TEST_SUITE_P(
     ServeModes, TcpEndToEnd,
-    ::testing::Values(platform::ServeMode::kEventLoop,
-                      platform::ServeMode::kPooled),
-    [](const ::testing::TestParamInfo<platform::ServeMode>& param) {
-      return param.param == platform::ServeMode::kEventLoop ? "EventLoop"
-                                                            : "Pooled";
+    ::testing::Values(platform::AppDispatch::kInline,
+                      platform::AppDispatch::kPooled),
+    [](const ::testing::TestParamInfo<platform::AppDispatch>& param) {
+      return param.param == platform::AppDispatch::kInline ? "EventLoop"
+                                                           : "Pooled";
     });
 
 TEST_P(TcpEndToEnd, BrowserSessionOverRealSockets) {
@@ -129,7 +124,6 @@ TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
   // pool, responses returning through the completion mailbox.
   util::WallClock clock;
   platform::ProviderConfig config;
-  config.serve_mode = platform::ServeMode::kEventLoop;
   config.app_dispatch = platform::AppDispatch::kPooled;
   platform::Provider provider(std::move(config), clock);
   apps::register_standard_apps(provider);
@@ -147,9 +141,36 @@ TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
   auto response = client.roundtrip(*connection.value(), request);
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 200);
+  EXPECT_NE(provider.pool_if_started(), nullptr);
 
   listener.close();
   server_thread.join();
+}
+
+TEST(TcpEndToEndDispatch, InlineDispatchStartsNoWorkerPool) {
+  // The default dispatch runs every handler on the reactor loop, so a
+  // serve() round trip must not spawn the worker pool's threads.
+  util::WallClock clock;
+  platform::Provider provider(platform::ProviderConfig{}, clock);
+  net::TcpListener listener;
+  ASSERT_TRUE(listener.listen(0).ok());
+  std::thread server_thread([&] { provider.serve(listener); });
+
+  auto connection = net::tcp_connect(listener.port());
+  ASSERT_TRUE(connection.ok());
+  net::HttpClient client;
+  HttpRequest request;
+  request.method = Method::kGet;
+  request.target = "/metrics";
+  request.headers.set("Connection", "close");
+  auto response = client.roundtrip(*connection.value(), request);
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().status, 200);
+  EXPECT_EQ(response.value().body.find("w5_pool_workers"), std::string::npos);
+
+  listener.close();
+  server_thread.join();
+  EXPECT_EQ(provider.pool_if_started(), nullptr);
 }
 
 TEST_P(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {

@@ -324,6 +324,19 @@ TEST(EventLoopServer, SlowHeaderClientIsReapedWith408) {
   EXPECT_GE(stats.reaped_total.load(), 1u);
   EXPECT_GE(stats.timeouts_total.load(), 1u);
   EXPECT_GE(conn_stats.timeout_closes_total.load(), 1u);
+
+  // The loop is free again: a well-formed request succeeds promptly.
+  auto healthy = tcp_connect(server.port());
+  ASSERT_TRUE(healthy.ok());
+  HttpRequest request;
+  request.method = Method::kPost;
+  request.target = "/ok";
+  request.body = "after-reap";
+  request.headers.set("Connection", "close");
+  HttpClient http;
+  auto ok = http.roundtrip(*healthy.value(), request);
+  ASSERT_TRUE(ok.ok()) << ok.error().code;
+  EXPECT_EQ(ok.value().body, "echo:after-reap");
 }
 
 TEST(EventLoopServer, StalledBodyIsReapedWith408) {
@@ -342,11 +355,13 @@ TEST(EventLoopServer, StalledBodyIsReapedWith408) {
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 408);
   EXPECT_GE(stats.reaped_total.load(), 1u);
+  EXPECT_GE(stats.timeouts_total.load(), 1u);
 }
 
 TEST(EventLoopServer, IdleKeepAliveConnectionIsClosedSilently) {
   ServerStats stats;
-  ReactorServer server({.options = {.header_deadline_micros = 100'000}});
+  ReactorServer server(
+      {.options = {.header_deadline_micros = 100'000}, .stats = &stats});
   auto client = tcp_connect(server.port());
   ASSERT_TRUE(client.ok());
   // Send nothing: the idle cap closes us with a clean EOF, no 408.
@@ -354,6 +369,7 @@ TEST(EventLoopServer, IdleKeepAliveConnectionIsClosedSilently) {
   auto n = client.value()->read(buf, sizeof(buf));
   ASSERT_TRUE(n.ok()) << n.error().code;
   EXPECT_EQ(n.value(), 0u);
+  EXPECT_GE(stats.reaped_total.load(), 1u);
 }
 
 TEST(EventLoopServer, SecondRequestIdleTimeoutAlsoSilent) {
@@ -407,10 +423,9 @@ TEST(EventLoopServer, OversizeBodyGets413AndHeadersGet431) {
   EXPECT_EQ(stats.rejected_431_total.load(), 1u);
 }
 
-// Early-exit parity (DESIGN.md §16): the reactor stamps a validated
-// inbound X-W5-Trace onto 413/431/408 rejections exactly like the pooled
-// path, so a caller's stitched trace shows where the hop died even when
-// no handler ever ran.
+// Early exits (DESIGN.md §16): the reactor stamps a validated inbound
+// X-W5-Trace onto 413/431/408 rejections, so a caller's stitched trace
+// shows where the hop died even when no handler ever ran.
 TEST(EventLoopServer, EarlyExitsEchoInboundTrace) {
   ReactorServer server({.limits = {.max_headers_bytes = 512,
                                    .max_body_bytes = 64},
@@ -542,8 +557,8 @@ TEST(EventLoopServer, MalformedStartLineGets400) {
 
 TEST(EventLoopServer, OverloadShedsWith503AndRetryAfterAtDispatch) {
   // 1 worker, queue of 1: the third in-flight request must shed. The
-  // reactor sheds at dispatch (headers already parsed on the loop), not
-  // at accept — same observable contract.
+  // reactor sheds at dispatch, with the headers already parsed on the
+  // loop.
   os::ThreadPool pool(1, 1);
   ServerStats stats;
   std::mutex mutex;
@@ -594,6 +609,7 @@ TEST(EventLoopServer, OverloadShedsWith503AndRetryAfterAtDispatch) {
   EXPECT_EQ(shed.value().headers.get("Retry-After"), "7");
   EXPECT_EQ(shed.value().headers.get("Connection"), "close");
   EXPECT_EQ(stats.shed_total.load(), 1u);
+  EXPECT_EQ(pool.jobs_rejected(), 1u);
 
   {
     std::lock_guard lock(mutex);
@@ -719,7 +735,11 @@ TEST(EventLoopServer, HundredsOfIdleConnectionsHoldTheGauges) {
     ASSERT_TRUE(client.ok()) << "connect " << i;
     clients.push_back(std::move(client).value());
   }
-  for (int i = 0; i < 5000 && conn_stats.open.load() < kConns; ++i)
+  // The loop counts a connection open before it counts it idle
+  // (add_conn → enter_idle), so wait for both gauges.
+  for (int i = 0; i < 5000 && (conn_stats.open.load() < kConns ||
+                               conn_stats.idle.load() < kConns);
+       ++i)
     std::this_thread::sleep_for(1ms);
   EXPECT_EQ(conn_stats.open.load(), kConns);
   EXPECT_EQ(conn_stats.idle.load(), kConns);

@@ -1,22 +1,16 @@
-// Robustness over real TCP sockets (DESIGN.md §12): slow-client reaping
-// under header/body deadlines, write-timeout reaping of never-draining
-// receivers, admission-control shedding with 503 + Retry-After, and the
-// listener error-path regressions (fd leaks, errno fidelity).
+// Transport robustness over real TCP sockets (DESIGN.md §12): read and
+// write timeouts as distinct errors, the EAGAIN resume on a slowly
+// drained write, and the listener error-path regressions (fd leaks,
+// errno fidelity). The reactor's reaping and shedding over these sockets
+// is covered in net_event_loop_test.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <dirent.h>
-#include <mutex>
 #include <string>
 #include <thread>
 
-#include "net/http_client.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
-#include "os/thread_pool.h"
-#include "util/clock.h"
 
 namespace w5::net {
 namespace {
@@ -31,131 +25,6 @@ int open_fd_count() {
   while (readdir(dir) != nullptr) ++count;
   closedir(dir);
   return count;
-}
-
-HttpResponse echo_handler(const HttpRequest& request) {
-  return HttpResponse::text(200, "echo:" + request.body);
-}
-
-// Reads one full HTTP response off a raw connection (blocking reads).
-util::Result<HttpResponse> read_response(Connection& connection) {
-  ResponseParser parser;
-  char buf[4096];
-  while (!parser.complete() && !parser.failed()) {
-    auto n = connection.read(buf, sizeof(buf));
-    if (!n.ok()) return n.error();
-    if (n.value() == 0) break;
-    parser.feed(std::string_view(buf, n.value()));
-  }
-  if (parser.failed()) return parser.error();
-  if (!parser.complete())
-    return util::make_error("http.incomplete", "EOF before full response");
-  return parser.take();
-}
-
-// Serves exactly the accepted connections of one listener on one thread
-// with the given options, for deadline tests that need a real socket.
-class OneShotServer {
- public:
-  explicit OneShotServer(ServerOptions options, ServerStats* stats = nullptr)
-      : server_(echo_handler, ParserLimits{}, options, stats) {
-    EXPECT_TRUE(listener_.listen(0).ok());
-    thread_ = std::thread([this] {
-      while (true) {
-        auto accepted = listener_.accept();
-        if (!accepted.ok()) return;
-        server_.serve(*accepted.value());
-      }
-    });
-  }
-
-  ~OneShotServer() {
-    listener_.close();
-    (void)tcp_connect(listener_.port());  // poke accept() loose
-    thread_.join();
-  }
-
-  std::uint16_t port() const { return listener_.port(); }
-
- private:
-  HttpServer server_;
-  TcpListener listener_;
-  std::thread thread_;
-};
-
-TEST(NetRobustness, SlowHeaderClientIsReapedWithin408) {
-  ServerStats stats;
-  OneShotServer server(
-      ServerOptions{.header_deadline_micros = 150'000,
-                    .write_timeout_micros = 500'000,
-                    .io_poll_micros = 10'000},
-      &stats);
-  auto client = tcp_connect(server.port());
-  ASSERT_TRUE(client.ok());
-  // Half a request line, then silence: the server must reap us with a
-  // 408 rather than parking a worker forever.
-  ASSERT_TRUE(client.value()->write("GET /slow HT").ok());
-  const auto started = std::chrono::steady_clock::now();
-  auto response = read_response(*client.value());
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 408);
-  EXPECT_EQ(response.value().headers.get("Connection"), "close");
-  // "Within the deadline": poll quantum + deadline + slack, far below
-  // a blocking-forever hang.
-  EXPECT_LT(elapsed, 2s);
-  EXPECT_GE(stats.reaped_total.load(), 1u);
-
-  // The worker is free again: a well-formed request succeeds promptly.
-  auto healthy = tcp_connect(server.port());
-  ASSERT_TRUE(healthy.ok());
-  HttpRequest request;
-  request.method = Method::kPost;
-  request.target = "/ok";
-  request.body = "after-reap";
-  request.headers.set("Connection", "close");
-  HttpClient http;
-  auto ok = http.roundtrip(*healthy.value(), request);
-  ASSERT_TRUE(ok.ok()) << ok.error().code;
-  EXPECT_EQ(ok.value().body, "echo:after-reap");
-}
-
-TEST(NetRobustness, StalledBodyIsReaped) {
-  ServerStats stats;
-  OneShotServer server(
-      ServerOptions{.header_deadline_micros = 500'000,
-                    .body_deadline_micros = 150'000,
-                    .write_timeout_micros = 500'000,
-                    .io_poll_micros = 10'000},
-      &stats);
-  auto client = tcp_connect(server.port());
-  ASSERT_TRUE(client.ok());
-  // Complete headers declaring a body that never arrives in full.
-  ASSERT_TRUE(client.value()
-                  ->write("POST /upload HTTP/1.1\r\nContent-Length: "
-                          "1000\r\n\r\npartial")
-                  .ok());
-  auto response = read_response(*client.value());
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 408);
-  EXPECT_GE(stats.reaped_total.load(), 1u);
-  EXPECT_GE(stats.timeouts_total.load(), 1u);
-}
-
-TEST(NetRobustness, IdleKeepAliveConnectionIsClosedWithout408) {
-  ServerStats stats;
-  OneShotServer server(ServerOptions{.header_deadline_micros = 100'000,
-                                     .io_poll_micros = 10'000},
-                       &stats);
-  auto client = tcp_connect(server.port());
-  ASSERT_TRUE(client.ok());
-  // Send nothing at all. The idle connection is reaped silently: EOF,
-  // no 408 (nothing was asked, nothing is owed).
-  char buf[64];
-  auto n = client.value()->read(buf, sizeof(buf));
-  ASSERT_TRUE(n.ok()) << n.error().code;
-  EXPECT_EQ(n.value(), 0u);  // clean EOF
-  EXPECT_GE(stats.reaped_total.load(), 1u);
 }
 
 TEST(NetRobustness, WriteTimeoutReapsNeverDrainingReceiver) {
@@ -204,80 +73,6 @@ TEST(NetRobustness, SlowlyDrainedLargeWriteStillCompletes) {
   EXPECT_TRUE(accepted.value()->write(std::string(total, 'y')).ok());
   reader.join();
   listener.close();
-}
-
-TEST(NetRobustness, OverloadShedsWith503AndRetryAfter) {
-  // 1 worker, queue of 1: the third concurrent connection must shed.
-  os::ThreadPool pool(1, 1);
-  ServerStats stats;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  PooledHttpServer server(
-      [&](const HttpRequest& request) {
-        if (request.parsed.path == "/block") {
-          std::unique_lock lock(mutex);
-          cv.wait(lock, [&] { return release; });
-        }
-        return HttpResponse::text(200, "done");
-      },
-      [&pool](std::function<void()> job) {
-        return pool.try_submit(std::move(job));
-      },
-      ParserLimits{}, ServerOptions{.retry_after_seconds = 7}, &stats);
-
-  TcpListener listener;
-  ASSERT_TRUE(listener.listen(0).ok());
-  std::thread accept_thread([&] { server.serve(listener); });
-
-  const auto send_blocking_request =
-      [&]() -> std::unique_ptr<Connection> {
-    auto connection = tcp_connect(listener.port());
-    EXPECT_TRUE(connection.ok());
-    if (!connection.ok()) return nullptr;
-    HttpRequest request;
-    request.target = "/block";
-    request.headers.set("Connection", "close");
-    EXPECT_TRUE(connection.value()->write(request.to_wire()).ok());
-    return std::move(connection).value();
-  };
-  // Fill the worker first (wait until its job is actually *running*, so
-  // the next job queues instead of racing for the same worker)...
-  auto busy1 = send_blocking_request();
-  ASSERT_NE(busy1, nullptr);
-  for (int i = 0; i < 2000 && pool.active() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.active(), 1u);
-  // ...then the queue.
-  auto busy2 = send_blocking_request();
-  ASSERT_NE(busy2, nullptr);
-  for (int i = 0; i < 2000 && pool.pending() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.pending(), 1u);
-
-  auto shed = tcp_connect(listener.port());
-  ASSERT_TRUE(shed.ok());
-  auto response = read_response(*shed.value());
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 503);
-  EXPECT_EQ(response.value().headers.get("Retry-After"), "7");
-  EXPECT_EQ(stats.shed_total.load(), 1u);
-  EXPECT_EQ(pool.jobs_rejected(), 1u);
-
-  {
-    std::lock_guard lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  auto r1 = read_response(*busy1);
-  auto r2 = read_response(*busy2);
-  EXPECT_TRUE(r1.ok() && r1.value().status == 200);
-  EXPECT_TRUE(r2.ok() && r2.value().status == 200);
-
-  listener.close();
-  (void)tcp_connect(listener.port());
-  accept_thread.join();
-  pool.shutdown();
 }
 
 TEST(NetRobustness, ListenFailurePathsLeakNoFds) {

@@ -110,6 +110,31 @@ TEST(HttpServerTest, KeepAliveHandlesSequentialRequests) {
   }
 }
 
+TEST(HttpServerTest, PipelinedRequestsInOneWriteAnswerInOrder) {
+  auto [client, server] = make_pipe();
+  std::string wire;
+  for (int i = 0; i < 2; ++i) {
+    HttpRequest request;
+    request.target = "/p" + std::to_string(i);
+    wire += request.to_wire();
+  }
+  ASSERT_TRUE(client->write(wire).ok());  // both requests in one write
+
+  HttpServer http(echo_handler);
+  EXPECT_EQ(http.serve(*server), 2u);
+
+  auto bytes = client->read_available();
+  ASSERT_TRUE(bytes.ok());
+  std::string_view stream = bytes.value();
+  for (int i = 0; i < 2; ++i) {
+    ResponseParser parser;
+    stream.remove_prefix(parser.feed(stream));
+    ASSERT_TRUE(parser.complete()) << "response " << i;
+    EXPECT_EQ(parser.take().body, "GET /p" + std::to_string(i) + " body=");
+  }
+  EXPECT_TRUE(stream.empty());
+}
+
 TEST(HttpServerTest, ConnectionCloseHonored) {
   auto [client, server] = make_pipe();
   HttpRequest request;

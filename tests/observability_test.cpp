@@ -75,12 +75,19 @@ TEST(ObservabilityRegistry, PrometheusRenderGroupsFamilies) {
   registry.counter("t_requests{route=\"/b\"}").inc(3);
   registry.gauge("t_depth").set(7);
   registry.histogram("t_latency", {10, 100}).observe(42);
+  // Labeled histogram series, with names past the small-string buffer.
+  registry.histogram("t_stage_latency_micros{stage=\"parse\"}", {10});
+  registry.histogram("t_stage_latency_micros{stage=\"write\"}", {10});
   const std::string text = registry.to_prometheus();
   if (!util::kTelemetryEnabled) return;
 
   // One TYPE line per family, not per labeled series.
   EXPECT_EQ(text.find("# TYPE t_requests counter"),
             text.rfind("# TYPE t_requests counter"));
+  EXPECT_EQ(text.find("# TYPE t_stage_latency_micros histogram"),
+            text.rfind("# TYPE t_stage_latency_micros histogram"));
+  EXPECT_NE(text.find("t_stage_latency_micros_count{stage=\"write\"} 0"),
+            std::string::npos);
   EXPECT_NE(text.find("t_requests{route=\"/a\"} 2"), std::string::npos);
   EXPECT_NE(text.find("t_requests{route=\"/b\"} 3"), std::string::npos);
   EXPECT_NE(text.find("t_depth 7"), std::string::npos);

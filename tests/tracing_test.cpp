@@ -274,7 +274,7 @@ TEST_F(DebugPlaneTest, StatuszAggregatesInfrastructureState) {
   ASSERT_TRUE(parsed.ok()) << response.body;
   const util::Json& statusz = parsed.value();
   EXPECT_EQ(statusz.at("provider").as_string(), "w5.org");
-  EXPECT_EQ(statusz.at("serving").at("mode").as_string(), "event_loop");
+  EXPECT_EQ(statusz.at("serving").at("app_dispatch").as_string(), "inline");
   EXPECT_TRUE(statusz.at("build").contains("compiled"));
   EXPECT_TRUE(statusz.at("durability").contains("enabled"));
   EXPECT_TRUE(statusz.at("fed_breakers").is_object());

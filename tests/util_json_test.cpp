@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/json.h"
 
 namespace w5::util {
@@ -83,6 +85,11 @@ struct BadInput {
   const char* text;
   const char* why;
 };
+
+// Prints a case as its `why`. gtest would otherwise print the struct's
+// pointer bytes, and the CTest names built from that text would change
+// with every build.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.why; }
 
 class JsonRejects : public ::testing::TestWithParam<BadInput> {};
 
