@@ -328,9 +328,10 @@ void BM_IdleConnectionCpu(benchmark::State& state) {
   w5::net::ConnStats conn_stats;
   // Deadlines all disabled: nothing may reap the herd mid-measurement.
   w5::net::EventLoopHttpServer server(
-      [](const w5::net::HttpRequest&) {
-        return HttpResponse::text(200, "ok");
-      },
+      w5::net::EventLoopHttpServer::blocking(
+          [](const w5::net::HttpRequest&) {
+            return HttpResponse::text(200, "ok");
+          }),
       [](std::function<void()> job) {
         job();
         return true;

@@ -227,6 +227,9 @@ durability)
   #     floor is two raw fsyncs. A fsync-per-put regression (no group
   #     commit) lands at ~threads x fsync and fails the gate.
   #   - 4096-entry WAL replay under W5_RECOVERY_BUDGET_MS (default 500).
+  #   - group commit over the reactor: BM_ReactorDurablePut (4 keep-alive
+  #     clients, one inline loop) shares each fsync among >= 1.5 entries.
+  #     A loop that blocks through every put's own fsync reads 1.00.
   factor="${W5_DURABILITY_P99_FACTOR:-3}"
   recovery_budget="${W5_RECOVERY_BUDGET_MS:-500}"
   build_bench "$build_dir" bench_durability
@@ -269,6 +272,21 @@ else:
         if got > limit:
             failures.append(f"{name}: p99 {got:.0f}us > {limit:.0f}us")
 
+reactor = next((b for b in data.get("benchmarks", [])
+                if b.get("name", "").startswith("BM_ReactorDurablePut")), None)
+min_entries_per_fsync = 1.5
+if reactor is None or "entries_per_fsync" not in reactor:
+    failures.append("missing BM_ReactorDurablePut entries_per_fsync")
+else:
+    got = reactor["entries_per_fsync"]
+    verdict = "ok" if got >= min_entries_per_fsync else "FAIL"
+    print(f"BM_ReactorDurablePut: {reactor.get('put_per_s', 0):.0f} put/s, "
+          f"{got:.2f} entries per fsync (min {min_entries_per_fsync}) "
+          f"({verdict})")
+    if got < min_entries_per_fsync:
+        failures.append(f"BM_ReactorDurablePut: {got:.2f} entries per fsync "
+                        f"< {min_entries_per_fsync}")
+
 if 4096 not in recovery:
     failures.append("missing BM_Recovery/4096")
 else:
@@ -281,6 +299,7 @@ data["e15_gates"] = {
     "p99_factor": factor,
     "p99_gate": "fsync group-commit p99 <= factor * (inmem p99 + 2*fsync)",
     "recovery_budget_ms": budget_ms,
+    "reactor_min_entries_per_fsync": min_entries_per_fsync,
     "failures": failures,
 }
 json.dump(data, open(path, "w"), indent=1)

@@ -6,7 +6,7 @@
 #   scripts/ci.sh fast       # build + lint + ctest + durability (no bench/w5bench/sanitizers)
 #   scripts/ci.sh durability # build + crash-matrix/recovery stage only
 #   scripts/ci.sh lint       # build w5lint + static checks only
-#   scripts/ci.sh bench      # build + concurrency smoke + E18 query gates only
+#   scripts/ci.sh bench      # build + concurrency smoke + E15/E18/E16 gates only
 #   scripts/ci.sh w5bench    # the W5 benchmark's self-test only
 #
 # clang-tidy (.clang-tidy: bugprone-*, concurrency-*,
@@ -103,6 +103,13 @@ bench_stage() {
   # BENCH_concurrency.json at the repo root (timings + the conn_* and
   # cpu_core_pct counters in metrics_snapshot) for cross-commit diffing.
   scripts/bench_json.sh concurrency
+
+  echo "== Bench gate: durability -> BENCH_durability.json =="
+  # E15: group-commit put p99 within 3x of the in-memory baseline (plus
+  # the device's fsync floor), 4096-entry recovery under 500 ms, and
+  # >= 1.5 WAL entries per fsync from one reactor loop serving four
+  # keep-alive clients (parked connections, not a blocked loop).
+  scripts/bench_json.sh durability
 
   echo "== Bench gate: query engine -> BENCH_query.json =="
   # E18: indexed point queries >= 10x faster than forced scans at 2^20

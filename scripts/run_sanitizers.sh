@@ -6,10 +6,11 @@
 #   scripts/run_sanitizers.sh asan       # just the ASan+UBSan leg
 #
 # TSan runs the tests that actually spin threads (the provider hammer,
-# the TCP end-to-end serving path, thread-pool and IPC tests, and the
+# the TCP end-to-end serving path, thread-pool and IPC tests, the
 # fault-injection/robustness chaos suites — injected resets and reaping
-# race real worker threads); running the whole suite under TSan adds
-# minutes for zero extra interleavings. ASan+UBSan run everything, with
+# race real worker threads — durable puts parked on the WAL flusher,
+# and metasearch hops sharing a slow peer); running the whole suite
+# under TSan adds minutes for zero extra interleavings. ASan+UBSan run everything, with
 # LeakSanitizer ON (suppressions: scripts/lsan.supp).
 #
 # Static legs live in scripts/ci.sh lint: w5lint (layering / perimeter /
@@ -34,7 +35,7 @@ run_tsan() {
   cmake --build build-tsan -j "$jobs" --target w5_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/w5_tests \
-    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*'
+    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*:*DurableServe*:WalTest.OnDurable*:DurableStoreTest.*:*Metasearch*'
 }
 
 run_asan() {

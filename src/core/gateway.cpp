@@ -27,7 +27,16 @@ net::HttpResponse perimeter_denial() {
   return json_error(403, "export blocked by security perimeter");
 }
 
+// Every write-ahead-log error code is "wal.*" (store/wal.cpp).
+bool is_durability_error(const util::Error& error) {
+  return error.code.starts_with("wal.");
+}
+
 }  // namespace
+
+net::HttpResponse durability_failure(const util::Error& error) {
+  return json_error(503, error.code);
+}
 
 Gateway::Gateway(Provider& provider) : provider_(provider) {
   using net::Method;
@@ -602,7 +611,11 @@ net::HttpResponse Gateway::route_invite(const net::HttpRequest& request) {
   auto status = provider_.store().put(pid, std::move(record));
   (void)provider_.kernel().exit(pid);
   provider_.kernel().reap(pid);
-  if (!status.ok()) return json_error(403, status.error().code);
+  if (!status.ok()) {
+    if (is_durability_error(status.error()))
+      return durability_failure(status.error());
+    return json_error(403, status.error().code);
+  }
   provider_.audit().record(AuditKind::kAdmin, from, "invite",
                            *to + " -> " + *app);
   return net::HttpResponse::json(201, R"({"ok":true})");
@@ -820,6 +833,8 @@ net::HttpResponse Gateway::route_put_data(const net::HttpRequest& request,
   (void)provider_.kernel().exit(pid);
   provider_.kernel().reap(pid);
   if (!status.ok()) {
+    if (is_durability_error(status.error()))
+      return durability_failure(status.error());
     provider_.audit().record(AuditKind::kFlowDenied, viewer,
                              collection + "/" + params.at("id"),
                              status.error().code);
@@ -900,7 +915,11 @@ net::HttpResponse Gateway::route_delete_data(const net::HttpRequest& request,
                                          params.at("id"));
   (void)provider_.kernel().exit(pid);
   provider_.kernel().reap(pid);
-  if (!status.ok()) return json_error(403, status.error().code);
+  if (!status.ok()) {
+    if (is_durability_error(status.error()))
+      return durability_failure(status.error());
+    return json_error(403, status.error().code);
+  }
   return net::HttpResponse::json(200, R"({"ok":true})");
 }
 

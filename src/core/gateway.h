@@ -119,4 +119,11 @@ class Gateway {
   std::vector<util::Counter*> route_hits_;
 };
 
+// The answer to a request whose mutation the write-ahead log could not
+// make durable (DESIGN.md §13): 503 with the log's error code. A server
+// fault, not a DIFC decision, so no flow-denied audit row goes with it.
+// In-process requests get it from the route; parked reactor requests get
+// it from Provider::serve when the log fails before their fsync.
+net::HttpResponse durability_failure(const util::Error& error);
+
 }  // namespace w5::platform

@@ -178,6 +178,7 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     util::Histogram* parse;
     util::Histogram* dispatch;
     util::Histogram* handler;
+    util::Histogram* durable;
     util::Histogram* write;
     util::Histogram* total;
   };
@@ -189,6 +190,8 @@ std::size_t Provider::serve(net::TcpListener& listener) {
       &metrics_.histogram("w5_reactor_stage_micros{stage=\"dispatch\"}",
                           stage_bounds),
       &metrics_.histogram("w5_reactor_stage_micros{stage=\"handler\"}",
+                          stage_bounds),
+      &metrics_.histogram("w5_reactor_stage_micros{stage=\"durable\"}",
                           stage_bounds),
       &metrics_.histogram("w5_reactor_stage_micros{stage=\"write\"}",
                           stage_bounds),
@@ -204,11 +207,18 @@ std::size_t Provider::serve(net::TcpListener& listener) {
         clamped(sample.handler_start, sample.parse_done);
     const util::Micros handler =
         clamped(sample.handler_done, sample.handler_start);
-    const util::Micros write = clamped(sample.write_done, sample.handler_done);
+    // A parked request waited for its WAL fsync between the handler's
+    // return and the release of its response; only those have the stage.
+    const bool parked = sample.released != 0;
+    const util::Micros answered =
+        parked ? sample.released : sample.handler_done;
+    const util::Micros durable = clamped(answered, sample.handler_done);
+    const util::Micros write = clamped(sample.write_done, answered);
     const util::Micros total = clamped(sample.write_done, sample.request_start);
     stage_histograms.parse->observe(parse);
     stage_histograms.dispatch->observe(dispatch);
     stage_histograms.handler->observe(handler);
+    if (parked) stage_histograms.durable->observe(durable);
     stage_histograms.write->observe(write);
     // The exemplar ties the p99 bucket to a findable trace: "what was a
     // recent slow request" is one /trace/:id away from the histogram.
@@ -218,7 +228,7 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     // records before the response bytes leave); append_spans drops them
     // when the trace was unsampled or already evicted.
     std::vector<TraceSpan> spans;
-    spans.reserve(4);
+    spans.reserve(5);
     const auto stage_span = [&](const char* name, util::Micros start,
                                 util::Micros duration) {
       TraceSpan span;
@@ -230,7 +240,8 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     stage_span("stage.parse", sample.request_start, parse);
     stage_span("stage.dispatch", sample.parse_done, dispatch);
     stage_span("stage.handler", sample.handler_start, handler);
-    stage_span("stage.write", sample.handler_done, write);
+    if (parked) stage_span("stage.durable", sample.handler_done, durable);
+    stage_span("stage.write", answered, write);
     (void)traces_.append_spans(sample.trace_id, std::move(spans));
     // Slow-request capture happens at the gateway (it has the finished
     // trace in hand); the reactor path re-records here so the flight
@@ -260,13 +271,47 @@ std::size_t Provider::serve(net::TcpListener& listener) {
       return pool->try_submit(std::move(job));
     };
   net::EventLoopHttpServer server(
-      [this](const net::HttpRequest& request) { return handle(request); },
+      [this](const net::HttpRequest& request, net::Responder respond) {
+        serve_one(request, std::move(respond));
+      },
       std::move(dispatch), config_.http_limits, config_.http_robustness,
       loop_options, &server_stats_, &conn_stats_);
   const std::size_t accepted = server.serve(listener);
   // In-flight handlers post into the server's mailboxes.
   if (pool != nullptr) pool->drain();
   return accepted;
+}
+
+void Provider::serve_one(const net::HttpRequest& request,
+                         net::Responder respond) {
+  // The components' fsync waits on our log return at once inside the
+  // scope; `pending` is the highest sequence this request wrote.
+  std::uint64_t pending = 0;
+  net::HttpResponse response;
+  {
+    const util::DeferredDurability deferred(durable_.get());
+    response = handle(request);
+    pending = deferred.highest_seq();
+  }
+  if (pending == 0) {
+    respond(std::move(response));
+    return;
+  }
+  // Park: the loop serves other connections while the flusher batches
+  // this write with theirs. A log that fails first turns the answer into
+  // the 503 the in-process path gives — never an ack (DESIGN.md §13).
+  durable_->on_durable(pending, [respond = std::move(respond),
+                                 response = std::move(response)](
+                                    util::Status durable) mutable {
+    if (durable.ok()) {
+      respond(std::move(response));
+      return;
+    }
+    net::HttpResponse failure = durability_failure(durable.error());
+    if (const auto trace = response.headers.get(net::kTraceHeader))
+      failure.headers.set(std::string(net::kTraceHeader), *trace);
+    respond(std::move(failure));
+  });
 }
 
 void Provider::set_external_fetcher(ExternalFetcher fetcher) {

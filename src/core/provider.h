@@ -84,9 +84,11 @@ enum class AppDispatch : std::uint8_t {
   // as TCP backpressure (the loop stops reading) rather than 503s.
   kInline,
   // On the worker pool, completing through the loop's mailbox. Pays two
-  // context switches per request but keeps blocking handlers (fsync-mode
-  // durability, slow module calls) off the I/O loops, and sheds
+  // context switches per request but keeps blocking handlers (slow
+  // module calls, /fed/search fan-out) off the I/O loops, and sheds
   // 503 + Retry-After when the pool queue hits max_queued_connections.
+  // fsync-mode durability needs neither: a durable write parks its
+  // connection, not the thread (Provider::serve).
   kPooled,
 };
 
@@ -218,7 +220,11 @@ class Provider {
 
   // Serves real TCP clients on the reactor, config().io_threads loops.
   // Blocks until the listener is closed (call listener.close() from
-  // elsewhere). Returns the number of connections accepted.
+  // elsewhere). Returns the number of connections accepted. With fsync
+  // durability, a request that wrote something parks its connection
+  // until the WAL reports the write durable (DESIGN.md §13), so one loop
+  // keeps many writes in each group commit; handle() and http() block
+  // instead.
   std::size_t serve(net::TcpListener& listener);
 
   // The pool behind AppDispatch::kPooled, created by the first serve()
@@ -280,6 +286,9 @@ class Provider {
 
  private:
   void init_durability();
+  // The reactor's handler: handle(), then answer at once or park the
+  // connection until the request's writes are durable.
+  void serve_one(const net::HttpRequest& request, net::Responder respond);
   // Dispatches a replayed WAL op to the owning component's trusted apply.
   util::Status apply_wal_op(const util::Json& op);
 

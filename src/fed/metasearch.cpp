@@ -56,11 +56,12 @@ struct Metasearch::Gather {
 };
 
 // One peer hop, run on its own thread: dial, send the query, pump the
-// peer's listener, read one response. Thread-safety note: concurrent
-// hops are safe because each dials a DISTINCT peer — InMemoryNetwork's
-// listener map is read-only after setup (dial/pump only find()), and a
-// peer node's accepted-connection queue is only ever touched by the one
-// hop thread pumping it.
+// peer's listener, read one response. Thread-safety note: InMemoryNetwork's
+// listener map is read-only after setup (dial/pump only find()), but two
+// hops CAN reach the same peer at once — a straggler from the previous
+// search still talks to a slow peer when the next search dials it. The
+// peer node locks its accepted-connection queue and serves it one pump
+// at a time, and the pipe buffers are locked, so the hops may share it.
 void Metasearch::run_hop(net::InMemoryNetwork& network,
                          const std::shared_ptr<Metasearch::Gather>& gather,
                          std::size_t index) {

@@ -20,14 +20,20 @@ Node::Node(std::string name, platform::Provider& provider,
         return handle_request(request);
       }) {
   // Accepted connections are parked until the dialer pumps us — the
-  // single-threaded in-memory transport means request bytes arrive only
-  // after dial() returns.
+  // non-blocking in-memory transport means request bytes arrive only
+  // after dial() returns. Dials and pumps come from concurrent hop
+  // threads (a straggling metasearch hop and the next search's hop to
+  // the same peer), so the queue is locked, and one pump at a time
+  // serves it: a pump may answer another dialer's request, which that
+  // dialer's own pump then waits out before it reads.
   network_.listen(
       address(),
       [this](std::unique_ptr<net::Connection> conn) {
+        const util::MutexLock lock(serve_mutex_);
         pending_.push_back(std::move(conn));
       },
       [this] {
+        const util::MutexLock lock(serve_mutex_);
         for (auto& conn : pending_)
           if (conn && !conn->closed()) server_.serve(*conn);
         std::erase_if(pending_, [](const auto& conn) {

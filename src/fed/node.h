@@ -150,7 +150,11 @@ class Node {
   net::InMemoryNetwork& network_;
   MirrorAuthorizer mirrors_;
   net::HttpServer server_;
-  std::vector<std::unique_ptr<net::Connection>> pending_;
+  // Guards pending_ and is held while a pump serves it, handler calls
+  // included — the node's outermost lock.
+  util::Mutex serve_mutex_{util::lockrank::kFedServe, "Node::serve_mutex_"};
+  std::vector<std::unique_ptr<net::Connection>> pending_
+      W5_GUARDED_BY(serve_mutex_);
   // (collection, id) -> clock
   std::map<std::pair<std::string, std::string>, VectorClock> clocks_;
   // (collection, id) -> deletion time; present only while deleted.

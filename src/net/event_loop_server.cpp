@@ -38,6 +38,16 @@ constexpr std::uint64_t kListenerKey = 0;
 constexpr std::uint64_t kMailboxKey = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
+// The mailbox of the loop this thread is running, null off the loops. A
+// Responder holds its loop's mailbox alive, so a match proves the caller
+// is inside that loop's run_loop and may complete inline.
+thread_local const void* t_running_mailbox = nullptr;
+
+// Exchange::phase: where a dispatched request's answer stands.
+constexpr std::uint8_t kRunning = 0;    // the handler has not returned
+constexpr std::uint8_t kParked = 1;     // it returned without answering
+constexpr std::uint8_t kResponded = 2;  // the Responder was called
+
 }  // namespace
 
 // Cross-thread handoff into a loop: new connections from the accepting
@@ -51,10 +61,12 @@ struct EventLoopHttpServer::Mailbox {
     HttpResponse response;            // is_completion
     std::unique_ptr<Connection> io;   // !is_completion (a new connection)
     int fd = -1;
-    // Stage attribution (0 when off): the worker's handler stamps, and
-    // the post time for the event-loop lag histogram.
+    // Stage attribution (0 when off): the handler's stamps, the parked
+    // response's release, and the post time for the event-loop lag
+    // histogram.
     util::Micros handler_start = 0;
     util::Micros handler_done = 0;
+    util::Micros released = 0;
     util::Micros posted_at = 0;
   };
 
@@ -92,7 +104,7 @@ struct EventLoopHttpServer::Conn {
   enum class State : std::uint8_t {
     kIdle,        // keep-alive, no request bytes yet
     kReading,     // headers or body arriving
-    kDispatched,  // handler running on the executor
+    kDispatched,  // handler running, or its answer parked (not yet given)
     kWriting,     // response draining to the socket
   };
 
@@ -127,8 +139,29 @@ struct EventLoopHttpServer::Conn {
   util::Micros t_request_start = 0;  // first byte of the current request
   util::Micros t_parse_done = 0;     // request fully parsed
   util::Micros t_handler_start = 0;  // handler began (worker stamp)
-  util::Micros t_handler_done = 0;   // response back on the loop
+  util::Micros t_handler_done = 0;   // handler answered, or returned parked
+  util::Micros t_released = 0;       // parked response released
   std::string trace_id;              // response X-W5-Trace echo, may be ""
+};
+
+// One dispatched request, shared by the executor job and the request's
+// Responder. The responder may outlive serve() (a WAL callback holds it):
+// it then only ever touches the mailbox it keeps alive, which is closed
+// by then and drops the post.
+struct EventLoopHttpServer::Exchange {
+  EventLoopHttpServer* server = nullptr;  // used only on the owning loop
+  Loop* owner = nullptr;                  // ditto
+  std::shared_ptr<Mailbox> mailbox;
+  std::uint64_t conn_id = 0;
+  HttpRequest request;
+  bool stage_enabled = false;  // copies of the server's telemetry switches
+  bool lag_enabled = false;
+  // Stage stamps: handler_start is written before the handler runs,
+  // parked_at before `phase` becomes kParked (release), so a responder
+  // that reads them has synchronized with the writes.
+  util::Micros handler_start = 0;
+  util::Micros parked_at = 0;
+  std::atomic<std::uint8_t> phase{kRunning};
 };
 
 struct EventLoopHttpServer::Loop {
@@ -152,7 +185,7 @@ struct EventLoopHttpServer::Loop {
 };
 
 EventLoopHttpServer::EventLoopHttpServer(
-    ServerHandler handler, BoundedExecutor executor, ParserLimits limits,
+    Handler handler, BoundedExecutor executor, ParserLimits limits,
     ServerOptions options, EventLoopOptions loop_options, ServerStats* stats,
     ConnStats* conn_stats)
     : handler_(std::move(handler)),
@@ -250,6 +283,10 @@ std::size_t EventLoopHttpServer::serve(TcpListener& listener) {
 void EventLoopHttpServer::run_loop(Loop& loop) {
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
+  t_running_mailbox = loop.mailbox.get();
+  struct LeaveLoop {
+    ~LeaveLoop() { t_running_mailbox = nullptr; }
+  } leave_loop;
   const bool owns_listener = loop.index == 0;
   LoopStats* lstats = loop_stats(loop);
   util::Histogram* drift = loop_options_.telemetry.timer_drift_micros;
@@ -423,7 +460,7 @@ void EventLoopHttpServer::drain_mailbox(Loop& loop) {
   for (auto& item : items) {
     if (item.is_completion) {
       complete(loop, item.conn_id, std::move(item.response),
-               item.handler_start, item.handler_done);
+               item.handler_start, item.handler_done, item.released);
     } else {
       add_conn(loop, std::move(item.io), item.fd, item.conn_id);
     }
@@ -433,15 +470,17 @@ void EventLoopHttpServer::drain_mailbox(Loop& loop) {
 void EventLoopHttpServer::complete(Loop& loop, std::uint64_t id,
                                    HttpResponse response,
                                    util::Micros handler_start,
-                                   util::Micros handler_done) {
+                                   util::Micros handler_done,
+                                   util::Micros released) {
   auto it = loop.conns.find(id);
   // The connection may have died (reset, write timeout) while the
-  // handler ran; its completion is dropped harmlessly.
+  // handler ran or its answer was parked; the completion is dropped.
   if (it == loop.conns.end()) return;
   Conn& conn = *it->second;
   if (conn.state != Conn::State::kDispatched) return;
   conn.t_handler_start = handler_start;
   conn.t_handler_done = handler_done;
+  conn.t_released = released;
   start_write(loop, conn, std::move(response),
               /*close_after=*/false, /*count_handled=*/true);
 }
@@ -594,39 +633,19 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
   conn.state = Conn::State::kDispatched;
   if (stage_enabled_) conn.t_parse_done = wall_now();
 
-  // The job captures the mailbox (not the loop): if the connection dies
-  // or serve() returns before the handler finishes, the completion posts
-  // into a closed/ownerless mailbox and is dropped. When the executor
-  // runs the job synchronously (inline dispatch), the thread-id check
-  // routes the completion straight back in — a matching id proves we are
-  // still on the owning loop thread, inside run_loop, so `loop` is alive
-  // and the mailbox + eventfd round trip would be pure overhead.
-  auto mailbox = loop.mailbox;
-  Loop* owner = &loop;
-  const std::thread::id owner_tid = std::this_thread::get_id();
-  const std::uint64_t id = conn.id;
-  // shared_ptr: std::function requires a copyable closure.
-  auto shared_request = std::make_shared<HttpRequest>(std::move(request));
+  // The exchange carries the mailbox (which it keeps alive), not just the
+  // loop: if the connection dies or serve() returns before the answer
+  // comes, it posts into a closed/ownerless mailbox and is dropped.
+  auto exchange = std::make_shared<Exchange>();
+  exchange->server = this;
+  exchange->owner = &loop;
+  exchange->mailbox = loop.mailbox;
+  exchange->conn_id = conn.id;
+  exchange->request = std::move(request);
+  exchange->stage_enabled = stage_enabled_;
+  exchange->lag_enabled = loop_options_.telemetry.loop_lag_micros != nullptr;
   const bool admitted =
-      executor_([this, mailbox, owner, owner_tid, id, shared_request] {
-        const util::Micros handler_start = stage_enabled_ ? wall_now() : 0;
-        HttpResponse response = handler_(*shared_request);
-        const util::Micros handler_done = stage_enabled_ ? wall_now() : 0;
-        if (std::this_thread::get_id() == owner_tid) {
-          complete(*owner, id, std::move(response), handler_start,
-                   handler_done);
-          return;
-        }
-        Mailbox::Item item;
-        item.is_completion = true;
-        item.conn_id = id;
-        item.response = std::move(response);
-        item.handler_start = handler_start;
-        item.handler_done = handler_done;
-        if (loop_options_.telemetry.loop_lag_micros != nullptr)
-          item.posted_at = handler_done > 0 ? handler_done : wall_now();
-        mailbox->post(std::move(item));
-      });
+      executor_([this, exchange] { run_handler(exchange); });
   if (!admitted) {
     // Load shed: the headers were parsed on the (cheap) I/O loop; the
     // client gets 503 + Retry-After + close instead of an unbounded queue.
@@ -634,10 +653,70 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
     HttpResponse shed = HttpResponse::text(503, "overloaded, retry later\n");
     shed.headers.set("Retry-After",
                      std::to_string(options_.retry_after_seconds));
-    stamp_trace_echo(shed, shared_request->headers);
+    stamp_trace_echo(shed, exchange->request.headers);
     start_write(loop, conn, std::move(shed), /*close_after=*/true,
                 /*count_handled=*/false);
   }
+}
+
+void EventLoopHttpServer::run_handler(
+    const std::shared_ptr<Exchange>& exchange) {
+  if (!exchange->stage_enabled) {
+    handler_(exchange->request, Responder(exchange));
+    return;
+  }
+  exchange->handler_start = wall_now();
+  handler_(exchange->request, Responder(exchange));
+  if (exchange->phase.load(std::memory_order_acquire) != kRunning) return;
+  // Returned without answering: the request is parked. The stamp is
+  // published by the phase change; a responder that runs first (and
+  // wins the phase) never reads it.
+  exchange->parked_at = wall_now();
+  std::uint8_t running = kRunning;
+  exchange->phase.compare_exchange_strong(running, kParked,
+                                          std::memory_order_acq_rel);
+}
+
+void EventLoopHttpServer::Responder::operator()(HttpResponse response) const {
+  Exchange& exchange = *exchange_;
+  const std::uint8_t phase =
+      exchange.phase.exchange(kResponded, std::memory_order_acq_rel);
+  if (phase == kResponded) return;  // one-shot: copies share the answer
+  util::Micros handler_done = 0;
+  util::Micros released = 0;
+  if (exchange.stage_enabled) {
+    const util::Micros now = wall_now();
+    handler_done = phase == kParked ? exchange.parked_at : now;
+    if (phase == kParked) released = now;
+  }
+  if (t_running_mailbox == exchange.mailbox.get()) {
+    // On the owning loop, inside run_loop: the loop and server are alive,
+    // and a mailbox + eventfd round trip would be pure overhead.
+    exchange.server->complete(*exchange.owner, exchange.conn_id,
+                              std::move(response), exchange.handler_start,
+                              handler_done, released);
+    return;
+  }
+  Mailbox::Item item;
+  item.is_completion = true;
+  item.conn_id = exchange.conn_id;
+  item.response = std::move(response);
+  item.handler_start = exchange.handler_start;
+  item.handler_done = handler_done;
+  item.released = released;
+  if (exchange.lag_enabled) {
+    const util::Micros posted = released > 0 ? released : handler_done;
+    item.posted_at = posted > 0 ? posted : wall_now();
+  }
+  exchange.mailbox->post(std::move(item));
+}
+
+EventLoopHttpServer::Handler EventLoopHttpServer::blocking(
+    ServerHandler handler) {
+  return [handler = std::move(handler)](const HttpRequest& request,
+                                        Responder respond) {
+    respond(handler(request));
+  };
 }
 
 void EventLoopHttpServer::start_write(Loop& loop, Conn& conn,
@@ -790,6 +869,7 @@ void EventLoopHttpServer::report_stages(Loop& loop, Conn& conn) {
   sample.parse_done = conn.t_parse_done;
   sample.handler_start = conn.t_handler_start;
   sample.handler_done = conn.t_handler_done;
+  sample.released = conn.t_released;
   sample.write_done = wall_now();
   // Inline dispatch runs the handler synchronously on this loop; a
   // missing worker stamp collapses the dispatch stage to zero instead of
@@ -797,12 +877,15 @@ void EventLoopHttpServer::report_stages(Loop& loop, Conn& conn) {
   if (sample.handler_start == 0) sample.handler_start = sample.parse_done;
   if (sample.handler_done < sample.handler_start)
     sample.handler_done = sample.handler_start;
+  if (sample.released != 0 && sample.released < sample.handler_done)
+    sample.released = sample.handler_done;
   loop_options_.telemetry.on_stage(sample);
   conn.trace_id.clear();
   conn.t_request_start = 0;
   conn.t_parse_done = 0;
   conn.t_handler_start = 0;
   conn.t_handler_done = 0;
+  conn.t_released = 0;
 }
 
 void EventLoopHttpServer::destroy(Loop& loop, Conn& conn) {

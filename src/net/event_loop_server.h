@@ -7,12 +7,16 @@
 //   idle → reading (headers → body) → dispatched → writing → idle
 //
 // driving the incremental net/http_parser. Application work (the
-// ServerHandler) runs where the executor puts it: inline on the owning
-// loop, or on the provider's worker pool, in which case the finished
-// response is handed back to the connection's owning loop through a
-// mailbox + eventfd wakeup. Connection state is only ever touched by its
-// owning loop thread — the thread-ownership rule that keeps the reactor
-// lock-free on the hot path.
+// Handler) runs where the executor puts it: inline on the owning loop,
+// or on the provider's worker pool. The handler answers through a
+// one-shot Responder, at once or later from any thread: a response that
+// comes back off the owning loop is handed to it through a mailbox +
+// eventfd wakeup, and the connection waits in `dispatched` meanwhile
+// while the loop serves the others (a durable write parks its
+// connection that way until its WAL fsync lands, DESIGN.md §13).
+// Connection state is only ever touched by its owning loop thread — the
+// thread-ownership rule that keeps the reactor lock-free on the hot
+// path.
 //
 // Deadlines (ServerOptions: header/idle, body and write budgets, with
 // 408/413/431/503 semantics) come from a hashed timer wheel per loop
@@ -106,7 +110,11 @@ struct StageSample {
   util::Micros request_start = 0;  // first byte of the request arrived
   util::Micros parse_done = 0;     // request fully parsed (dispatch point)
   util::Micros handler_start = 0;  // handler began executing
-  util::Micros handler_done = 0;   // response arrived back at the loop
+  // The handler answered — or, for a parked request, returned without
+  // answering.
+  util::Micros handler_done = 0;
+  // A parked request's response was released (0: it never parked).
+  util::Micros released = 0;
   util::Micros write_done = 0;     // last response byte accepted by the kernel
 };
 using StageCallback = std::function<void(const StageSample&)>;
@@ -149,8 +157,34 @@ struct EventLoopOptions {
 };
 
 class EventLoopHttpServer {
+ private:
+  struct Exchange;  // one dispatched request and where its answer goes
+
  public:
-  EventLoopHttpServer(ServerHandler handler, BoundedExecutor executor,
+  // The one-shot completion a Handler answers through. Called on the
+  // connection's owning loop thread it completes the request inline;
+  // called from any other thread it posts through that loop's mailbox.
+  // Until then the connection stays dispatched, so requests pipelined
+  // behind it are answered in order. Copies share one completion: only
+  // the first call counts. A response for a connection that died
+  // meanwhile is dropped.
+  class Responder {
+   public:
+    void operator()(HttpResponse response) const;
+
+   private:
+    friend class EventLoopHttpServer;
+    explicit Responder(std::shared_ptr<Exchange> exchange)
+        : exchange_(std::move(exchange)) {}
+    std::shared_ptr<Exchange> exchange_;
+  };
+  using Handler = std::function<void(const HttpRequest&, Responder)>;
+
+  // Adapts a blocking handler: its return value is the response, sent at
+  // once.
+  static Handler blocking(ServerHandler handler);
+
+  EventLoopHttpServer(Handler handler, BoundedExecutor executor,
                       ParserLimits limits = {}, ServerOptions options = {},
                       EventLoopOptions loop_options = {},
                       ServerStats* stats = nullptr,
@@ -177,11 +211,14 @@ class EventLoopHttpServer {
   void add_conn(Loop& loop, std::unique_ptr<Connection> io, int fd,
                 std::uint64_t id);
   void drain_mailbox(Loop& loop);
+  // Runs the handler for one dispatched request (on the executor).
+  void run_handler(const std::shared_ptr<Exchange>& exchange);
   // Applies a finished handler response to the connection (if it still
-  // exists and still awaits one). Loop-thread only. handler_start/done
-  // are the worker's wall-clock stamps (0 when stage attribution is off).
+  // exists and still awaits one). Loop-thread only. The stamps are
+  // wall-clock micros, 0 when stage attribution is off.
   void complete(Loop& loop, std::uint64_t id, HttpResponse response,
-                util::Micros handler_start, util::Micros handler_done);
+                util::Micros handler_start, util::Micros handler_done,
+                util::Micros released);
   void handle_event(Loop& loop, std::uint64_t id, std::uint32_t events);
   void pump_read(Loop& loop, Conn& conn);
   // Feeds data to the connection's parser, driving state transitions.
@@ -206,7 +243,7 @@ class EventLoopHttpServer {
   // Builds and reports the stage sample for a fully-written response.
   void report_stages(Loop& loop, Conn& conn);
 
-  ServerHandler handler_;
+  Handler handler_;
   BoundedExecutor executor_;
   ParserLimits limits_;
   ServerOptions options_;
@@ -223,5 +260,7 @@ class EventLoopHttpServer {
   std::uint64_t next_conn_id_;  // loop-0 thread only (the accepting loop)
   std::size_t next_loop_ = 0;   // round-robin dealing, loop-0 thread only
 };
+
+using Responder = EventLoopHttpServer::Responder;
 
 }  // namespace w5::net

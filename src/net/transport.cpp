@@ -1,5 +1,8 @@
 #include "net/transport.h"
 
+#include "util/lock_ranks.h"
+#include "util/thread_annotations.h"
+
 namespace w5::net {
 
 util::Result<std::size_t> Connection::write_some(std::string_view data) {
@@ -43,10 +46,13 @@ util::Result<std::string> Connection::read_available(std::size_t max) {
 
 namespace {
 
-// Shared state of one direction of the pipe.
+// Shared state of one direction of the pipe. Locked because the two ends
+// may live on different threads: a federation hop pumping a peer can
+// serve a connection another hop thread dialed (fed::Node).
 struct PipeBuffer {
-  std::deque<char> bytes;
-  bool writer_closed = false;
+  util::Mutex mutex{util::lockrank::kPipeBuffer, "PipeBuffer::mutex"};
+  std::deque<char> bytes W5_GUARDED_BY(mutex);
+  bool writer_closed W5_GUARDED_BY(mutex) = false;
 };
 
 class PipeConnection final : public Connection {
@@ -59,6 +65,7 @@ class PipeConnection final : public Connection {
 
   util::Result<std::size_t> read(char* buf, std::size_t max) override {
     if (max == 0) return std::size_t{0};
+    const util::MutexLock lock(incoming_->mutex);
     if (incoming_->bytes.empty()) {
       if (incoming_->writer_closed) return std::size_t{0};  // EOF
       return util::make_error("net.would_block", "pipe empty");
@@ -73,6 +80,7 @@ class PipeConnection final : public Connection {
 
   util::Status write(std::string_view data) override {
     if (closed_) return util::make_error("net.closed", "write on closed end");
+    const util::MutexLock lock(outgoing_->mutex);
     if (outgoing_->writer_closed)
       return util::make_error("net.closed", "peer direction closed");
     outgoing_->bytes.insert(outgoing_->bytes.end(), data.begin(), data.end());
@@ -82,6 +90,7 @@ class PipeConnection final : public Connection {
   void close() override {
     if (closed_) return;
     closed_ = true;
+    const util::MutexLock lock(outgoing_->mutex);
     outgoing_->writer_closed = true;
   }
 

@@ -67,8 +67,10 @@ class Connection {
 
 // ---- In-memory transport ---------------------------------------------------
 
-// A bidirectional in-memory pipe; make_pipe returns the two ends.
-// Single-threaded by design: reads see everything written before the call.
+// A bidirectional in-memory pipe; make_pipe returns the two ends. Never
+// blocks: reads see everything written before the call. Each end belongs
+// to one thread at a time, but the two ends may be on different threads
+// (the shared buffers are locked).
 std::pair<std::unique_ptr<Connection>, std::unique_ptr<Connection>>
 make_pipe();
 

@@ -99,9 +99,20 @@ std::uint64_t DurableStore::log(const util::Json& op) {
 util::Status DurableStore::wait_durable(std::uint64_t seq) {
   // Before recover() the components are replaying history, not accepting
   // mutations; nothing to wait for. With a live WAL, seq 0 means the op
-  // was refused — the WAL turns it into the right error.
+  // was refused — the WAL turns it into the right error, never deferred.
   if (wal_ == nullptr) return util::ok_status();
+  if (seq != 0 && config_.mode == DurabilityMode::kFsync &&
+      util::DeferredDurability::defer(this, seq))
+    return util::ok_status();
   return wal_->wait_durable(seq);
+}
+
+void DurableStore::on_durable(std::uint64_t seq, DurableCallback done) {
+  if (wal_ == nullptr) {
+    done(util::ok_status());
+    return;
+  }
+  wal_->on_durable(seq, std::move(done));
 }
 
 util::Status DurableStore::checkpoint() {

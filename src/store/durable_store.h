@@ -9,7 +9,8 @@
 // truncate whatever torn suffix the crash left.
 //
 // Threading: log() touches only the WAL's leaf mutex, so it is safe under
-// any component lock. The compactor runs on its own thread — never the
+// any component lock, and on_durable() callbacks run on the WAL's flusher
+// with no lock held. The compactor runs on its own thread — never the
 // flusher's — because capturing a snapshot takes the components' locks
 // while workers inside those locks may be waiting on the flusher; the
 // flusher must always make progress for the system to drain.
@@ -79,8 +80,12 @@ class DurableStore final : public util::MutationLog {
 
   // util::MutationLog. log() returns 0 before recover(), after close(),
   // or when the WAL refused the op; wait_durable then reports the error.
+  // In kFsync mode, a wait inside a util::DeferredDurability scope bound
+  // to this store returns at once; the scope's owner settles the seq
+  // through on_durable.
   std::uint64_t log(const util::Json& op) override;
   util::Status wait_durable(std::uint64_t seq) override;
+  void on_durable(std::uint64_t seq, DurableCallback done) override;
 
   // Rotate, snapshot, GC — now, synchronously. Serialized internally.
   // Errors (without snapshotting) if the WAL has failed: a boundary the

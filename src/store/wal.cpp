@@ -331,6 +331,42 @@ util::Status WriteAheadLog::wait_durable(std::uint64_t seq) {
                               " became durable");
 }
 
+void WriteAheadLog::on_durable(std::uint64_t seq, DurableCallback done) {
+  if (seq != 0 && options_.mode == DurabilityMode::kFsync) {
+    const util::MutexLock lock(mutex_);
+    if (durable_seq_ < seq && !closing_ &&
+        !failed_.load(std::memory_order_relaxed)) {
+      callbacks_.push_back({seq, std::move(done)});
+      std::push_heap(callbacks_.begin(), callbacks_.end(), std::greater<>());
+      return;
+    }
+  }
+  // Already settled (durable, failed, closing, refused, or a weak mode):
+  // wait_durable answers without blocking.
+  done(wait_durable(seq));
+}
+
+void WriteAheadLog::take_durable_locked(Settled& settled) {
+  while (!callbacks_.empty() && callbacks_.front().seq <= durable_seq_) {
+    std::pop_heap(callbacks_.begin(), callbacks_.end(), std::greater<>());
+    settled.durable.push_back(std::move(callbacks_.back().done));
+    callbacks_.pop_back();
+  }
+}
+
+void WriteAheadLog::take_all_locked(Settled& settled, util::Status error) {
+  take_durable_locked(settled);
+  settled.error = std::move(error);
+  for (auto& callback : callbacks_)
+    settled.refused.push_back(std::move(callback.done));
+  callbacks_.clear();
+}
+
+void WriteAheadLog::settle(Settled settled) {
+  for (auto& done : settled.durable) done(util::ok_status());
+  for (auto& done : settled.refused) done(settled.error);
+}
+
 util::Status WriteAheadLog::flush() {
   util::UniqueLock lock(mutex_);
   if (failed_.load(std::memory_order_relaxed)) return fail_status_locked();
@@ -412,14 +448,28 @@ void WriteAheadLog::close() {
   durable_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
   file_.close();
+  // The flusher's final drain settled every callback it made durable;
+  // whatever is left can no longer become durable.
+  Settled settled;
+  {
+    const util::MutexLock lock(mutex_);
+    take_all_locked(settled,
+                    failed_.load(std::memory_order_relaxed)
+                        ? fail_status_locked()
+                        : util::make_error("wal.closed",
+                                           "log closed before the mutation "
+                                           "became durable"));
+  }
+  settle(std::move(settled));
 }
 
-void WriteAheadLog::fail_locked(std::string reason) {
+void WriteAheadLog::fail_locked(std::string reason, Settled& settled) {
   if (!failed_.load(std::memory_order_relaxed)) {
     fail_reason_ = std::move(reason);
     failed_.store(true, std::memory_order_release);
     util::log_error("wal: failed, refusing further appends: ", fail_reason_);
   }
+  take_all_locked(settled, fail_status_locked());
   pending_cv_.notify_all();
   durable_cv_.notify_all();
 }
@@ -479,6 +529,7 @@ void WriteAheadLog::flusher_main() {
       write_batch(std::move(batch), /*force_fsync=*/true);
       if (!failed_.load(std::memory_order_relaxed)) {
         file_.close();
+        Settled settled;
         lock.lock();
         const util::Status opened = open_segment_locked(rotate_boundary);
         if (!opened.ok()) {
@@ -487,12 +538,14 @@ void WriteAheadLog::flusher_main() {
           // the old segment closed) unblocks with an error instead of
           // hanging the checkpoint path forever.
           fail_locked("rotate: cannot open new segment: " +
-                      opened.error().detail);
+                          opened.error().detail,
+                      settled);
         } else if (rotations_ != nullptr) {
           rotations_->inc();
         }
         rotate_at_ = 0;
         lock.unlock();
+        settle(std::move(settled));
       } else {
         lock.lock();
         rotate_at_ = 0;
@@ -548,27 +601,33 @@ void WriteAheadLog::write_batch(std::vector<Pending> batch, bool force_fsync) {
     }
   }
 
-  const util::MutexLock lock(mutex_);
-  if (!io.ok()) {
-    // A failed write may have torn a frame mid-segment (ENOSPC cuts the
-    // batch anywhere); a failed fsync means the kernel promises nothing
-    // about this batch. Either way no sequence in or after this batch may
-    // be acked: poison the log — never advance durable/flushed over a
-    // hole the next replay will truncate at.
-    fail_locked(io.error().code + ": " + io.error().detail);
-    return;
+  Settled settled;
+  {
+    const util::MutexLock lock(mutex_);
+    if (!io.ok()) {
+      // A failed write may have torn a frame mid-segment (ENOSPC cuts the
+      // batch anywhere); a failed fsync means the kernel promises nothing
+      // about this batch. Either way no sequence in or after this batch
+      // may be acked: poison the log — never advance durable/flushed over
+      // a hole the next replay will truncate at.
+      fail_locked(io.error().code + ": " + io.error().detail, settled);
+    } else {
+      segment_bytes_ += buf.size();
+      if (last_seq != 0) written_seq_ = std::max(written_seq_, last_seq);
+      // kFsync promises "durable" only after the fsync lands; the weaker
+      // modes promise only write ordering, so written == durable for them.
+      if (options_.mode != DurabilityMode::kFsync || synced)
+        durable_seq_ = std::max(durable_seq_, written_seq_);
+      // flush() completion: everything appended before the flush call has
+      // been written (and fsynced in the modes that fsync).
+      if (options_.mode == DurabilityMode::kNone || synced)
+        flushed_seq_ = std::max(flushed_seq_, written_seq_);
+      take_durable_locked(settled);
+      durable_cv_.notify_all();
+    }
   }
-  segment_bytes_ += buf.size();
-  if (last_seq != 0) written_seq_ = std::max(written_seq_, last_seq);
-  // kFsync promises "durable" only after the fsync lands; the weaker
-  // modes promise only write ordering, so written == durable for them.
-  if (options_.mode != DurabilityMode::kFsync || synced)
-    durable_seq_ = std::max(durable_seq_, written_seq_);
-  // flush() completion: everything appended before the flush call has
-  // been written (and fsynced in the modes that fsync).
-  if (options_.mode == DurabilityMode::kNone || synced)
-    flushed_seq_ = std::max(flushed_seq_, written_seq_);
-  durable_cv_.notify_all();
+  // Parked requests resume from here, on the flusher, with no lock held.
+  settle(std::move(settled));
 }
 
 }  // namespace w5::store

@@ -14,10 +14,14 @@
 //
 // The log is segmented: appends go to wal-<first_seq>.log; compaction
 // rotates to a fresh segment, snapshots the full state, and deletes
-// segments the snapshot covers. Group commit: appends from the worker
-// pool enqueue under a leaf mutex, and a dedicated flusher thread writes
-// and fsyncs whole batches, amortizing one fsync across every request
-// that arrived while the previous one was in flight.
+// segments the snapshot covers. Group commit: appends from any thread —
+// reactor loops, pooled workers, in-process callers — enqueue under a
+// leaf mutex, and a dedicated flusher thread writes and fsyncs whole
+// batches, amortizing one fsync across every append that arrived while
+// the previous one was in flight. Callers either block in wait_durable()
+// or register on_durable(), which the flusher runs after the covering
+// fsync; the reactor parks a connection that way so its loop keeps
+// appending for other connections while the fsync is in flight.
 #pragma once
 
 #include <atomic>
@@ -111,6 +115,16 @@ class WriteAheadLog {
   // because append() refused the op.
   util::Status wait_durable(std::uint64_t seq);
 
+  // Runs `done` once with what wait_durable(seq) would return, without
+  // blocking: in kFsync mode the flusher runs it after the fsync covering
+  // `seq`, holding no lock; a failing log runs every pending callback
+  // with its error, and close() runs the ones its final drain did not
+  // cover with "wal.closed". When nothing needs waiting for (a weak
+  // mode, seq 0, already durable, failed, closing) it runs at once on the
+  // caller's thread.
+  using DurableCallback = std::function<void(util::Status)>;
+  void on_durable(std::uint64_t seq, DurableCallback done);
+
   // Drains pending appends to disk (fsyncs except in kNone); the test and
   // shutdown hook. Errors if the log has failed.
   util::Status flush();
@@ -149,12 +163,35 @@ class WriteAheadLog {
     std::uint64_t seq;
     std::string payload;
   };
+  // An on_durable() registration. callbacks_ is a min-heap on seq
+  // (std::greater order), so the next one due sits at the front.
+  struct Callback {
+    std::uint64_t seq;
+    DurableCallback done;
+    friend bool operator>(const Callback& a, const Callback& b) {
+      return a.seq > b.seq;
+    }
+  };
+  // Callbacks the log has settled, run by settle() once mutex_ is free.
+  struct Settled {
+    std::vector<DurableCallback> durable;  // run with ok
+    std::vector<DurableCallback> refused;  // run with `error`
+    util::Status error = util::ok_status();
+  };
 
   util::Status open_segment_locked(std::uint64_t first_seq)
       W5_REQUIRES(mutex_);
-  // Poisons the log (idempotent) and wakes every waiter.
-  void fail_locked(std::string reason) W5_REQUIRES(mutex_);
+  // Poisons the log (idempotent), wakes every waiter, and moves every
+  // pending callback into `settled` with the failure.
+  void fail_locked(std::string reason, Settled& settled) W5_REQUIRES(mutex_);
   util::Status fail_status_locked() const W5_REQUIRES(mutex_);
+  // Moves the callbacks durable_seq_ now covers into `settled`.
+  void take_durable_locked(Settled& settled) W5_REQUIRES(mutex_);
+  // Moves every callback into `settled`: the covered ones as above, the
+  // rest to run with `error`.
+  void take_all_locked(Settled& settled, util::Status error)
+      W5_REQUIRES(mutex_);
+  static void settle(Settled settled);
   void flusher_main();
   // Writes one batch (split across a rotation boundary if one is
   // requested) and fsyncs per mode. Called from the flusher only.
@@ -168,6 +205,7 @@ class WriteAheadLog {
   std::condition_variable pending_cv_;   // flusher wakeup
   std::condition_variable durable_cv_;   // wait_durable / flush wakeup
   std::vector<Pending> pending_ W5_GUARDED_BY(mutex_);
+  std::vector<Callback> callbacks_ W5_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ W5_GUARDED_BY(mutex_);
   // Highest seq written (+fsynced in kFsync).
   std::uint64_t durable_seq_ W5_GUARDED_BY(mutex_) = 0;

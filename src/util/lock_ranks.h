@@ -25,7 +25,8 @@ namespace w5::util::lockrank {
 inline constexpr int kDurableCheckpoint = 10;   // DurableStore::checkpoint_mutex_
 inline constexpr int kDurableCompactor = 12;    // DurableStore::compactor_mutex_
 
-// -- Federation: gather coordination, held across peer bookkeeping -----------
+// -- Federation: a node's serving, then gather coordination ------------------
+inline constexpr int kFedServe = 16;            // Node::serve_mutex_
 inline constexpr int kFedStragglers = 20;       // Metasearch::stragglers_mutex_
 inline constexpr int kFedGather = 22;           // Gather::mutex (metasearch hops)
 inline constexpr int kFedBreakers = 24;         // Node::breakers_mutex_
@@ -71,6 +72,7 @@ inline constexpr int kEventLoopMailbox = 74;    // Mailbox::mutex (event loop)
 inline constexpr int kTcpClose = 76;            // TcpListener::close_mutex_
 inline constexpr int kCircuitBreaker = 78;      // CircuitBreaker::mutex_
 inline constexpr int kFileFault = 80;           // FileFaultPlan State::mutex
+inline constexpr int kPipeBuffer = 82;          // PipeBuffer::mutex
 
 // -- Telemetry leaves: reachable from under any subsystem lock ---------------
 inline constexpr int kTraceSlot = 84;           // TraceBuffer::slot_mutexes_ ×N

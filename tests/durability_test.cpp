@@ -4,10 +4,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,8 @@
 #include "store/wal.h"
 #include "util/clock.h"
 #include "util/log.h"
+#include "util/metrics.h"
+#include "util/mutation_log.h"
 
 namespace w5::store {
 namespace {
@@ -347,6 +352,177 @@ TEST(WalTest, FailedRotationUnblocksInsteadOfHanging) {
   wal->close();
 }
 
+// ---- on_durable: the non-blocking wait -------------------------------------
+
+// Collects on_durable outcomes from whatever thread runs the callbacks.
+class Outcomes {
+ public:
+  WriteAheadLog::DurableCallback record(std::function<void()> check = {}) {
+    return [this, check = std::move(check)](util::Status status) {
+      if (check) check();
+      const std::lock_guard<std::mutex> lock(mutex_);
+      statuses_.push_back(std::move(status));
+      threads_.push_back(std::this_thread::get_id());
+      cv_.notify_all();
+    };
+  }
+  // Waits (bounded) until `n` callbacks have run.
+  bool wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return statuses_.size() >= n; });
+  }
+  std::vector<util::Status> statuses() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return statuses_;
+  }
+  std::vector<std::thread::id> threads() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<util::Status> statuses_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(WalTest, OnDurableNeverRunsBeforeTheFsyncCoveringIt) {
+  ScratchDir dir("wal_on_durable");
+  util::MetricsRegistry metrics;
+  WalOptions options;
+  options.metrics = &metrics;
+  auto wal = WriteAheadLog::open(dir.path(), 1, options).value();
+  const util::Counter& fsyncs = metrics.counter("w5_wal_fsyncs_total");
+  Outcomes outcomes;
+  std::atomic<int> early{0};
+  constexpr int kAppends = 200;
+  for (int i = 0; i < kAppends; ++i) {
+    const std::uint64_t seq = wal->append("od" + std::to_string(i));
+    ASSERT_EQ(seq, static_cast<std::uint64_t>(i + 1));
+    wal->on_durable(seq, outcomes.record([&, seq] {
+      // durable_seq() advances only once an fsync has covered it.
+      if (wal->durable_seq() < seq) ++early;
+      if (util::kTelemetryEnabled && fsyncs.value() == 0) ++early;
+    }));
+  }
+  ASSERT_TRUE(outcomes.wait_for(kAppends));
+  EXPECT_EQ(early.load(), 0);
+  for (const util::Status& status : outcomes.statuses())
+    EXPECT_TRUE(status.ok());
+  wal->close();
+  EXPECT_EQ(replay_payloads(dir.path()).size(),
+            static_cast<std::size_t>(kAppends));
+}
+
+TEST(WalTest, OnDurableRunsWithTheErrorWhenTheLogFails) {
+  ScratchDir dir("wal_on_durable_error");
+  WalOptions options;
+  options.fault = net::FileFaultPlan::error_at(40);  // tears the third frame
+  auto wal = WriteAheadLog::open(dir.path(), 1, options).value();
+  ASSERT_TRUE(wal->wait_durable(wal->append("p0")).ok());
+  ASSERT_TRUE(wal->wait_durable(wal->append("p1")).ok());
+  Outcomes outcomes;
+  wal->on_durable(wal->append("p2"), outcomes.record());
+  ASSERT_TRUE(outcomes.wait_for(1));
+  EXPECT_EQ(outcomes.statuses()[0].error().code, "wal.failed");
+  // Once failed, a registration settles at once, on the caller's thread,
+  // with the same error — never with ok.
+  wal->on_durable(2, outcomes.record());  // durable before the failure
+  wal->on_durable(3, outcomes.record());
+  wal->on_durable(0, outcomes.record());  // a refused append
+  ASSERT_EQ(outcomes.statuses().size(), 4u);
+  EXPECT_TRUE(outcomes.statuses()[1].ok());
+  EXPECT_EQ(outcomes.statuses()[2].error().code, "wal.failed");
+  EXPECT_EQ(outcomes.statuses()[3].error().code, "wal.failed");
+  EXPECT_EQ(outcomes.threads()[3], std::this_thread::get_id());
+  wal->close();
+}
+
+TEST(WalTest, OnDurableSettlesOnCloseAndAtOnceInWeakModes) {
+  {
+    // Appended and registered, then closed: close() drains the tail, so
+    // the callback runs with ok — and none is left behind unrun.
+    ScratchDir dir("wal_on_durable_close");
+    auto wal = WriteAheadLog::open(dir.path(), 1, {}).value();
+    Outcomes outcomes;
+    for (int i = 0; i < 20; ++i)
+      wal->on_durable(wal->append("c" + std::to_string(i)),
+                      outcomes.record());
+    wal->close();
+    ASSERT_EQ(outcomes.statuses().size(), 20u);
+    for (const util::Status& status : outcomes.statuses())
+      EXPECT_TRUE(status.ok());
+    // Registered after close: settles at once with the closed error.
+    wal->on_durable(21, outcomes.record());
+    ASSERT_EQ(outcomes.statuses().size(), 21u);
+    EXPECT_EQ(outcomes.statuses()[20].error().code, "wal.closed");
+  }
+  for (const DurabilityMode mode :
+       {DurabilityMode::kNone, DurabilityMode::kInterval}) {
+    ScratchDir dir(std::string("wal_on_durable_") + to_string(mode));
+    WalOptions options;
+    options.mode = mode;
+    auto wal = WriteAheadLog::open(dir.path(), 1, options).value();
+    Outcomes outcomes;
+    wal->on_durable(wal->append("weak"), outcomes.record());
+    // The weak modes promise no fsync before the ack: the callback has
+    // already run, on this thread.
+    ASSERT_EQ(outcomes.statuses().size(), 1u) << to_string(mode);
+    EXPECT_TRUE(outcomes.statuses()[0].ok());
+    EXPECT_EQ(outcomes.threads()[0], std::this_thread::get_id());
+    wal->close();
+  }
+}
+
+TEST(DurableStoreTest, DeferredScopeDefersOnlyItsOwnLogsWaits) {
+  ScratchDir dir_a("defer_a");
+  ScratchDir dir_b("defer_b");
+  DurabilityConfig config;
+  config.enabled = true;
+  config.snapshot_every_entries = 0;
+  config.dir = dir_a.path();
+  DurableStore a(config);
+  config.dir = dir_b.path();
+  DurableStore b(config);
+  const auto ignore = [](const std::string&) { return util::ok_status(); };
+  const auto apply = [](const util::Json&) { return util::ok_status(); };
+  ASSERT_TRUE(a.recover(ignore, apply).ok());
+  ASSERT_TRUE(b.recover(ignore, apply).ok());
+  util::Json op;
+  op["op"] = "store.test";
+
+  {
+    const util::DeferredDurability deferred(&a);
+    const std::uint64_t first = a.log(op);
+    const std::uint64_t second = a.log(op);
+    EXPECT_TRUE(a.wait_durable(second).ok());
+    EXPECT_TRUE(a.wait_durable(first).ok());
+    EXPECT_EQ(deferred.highest_seq(), second);
+    // A refused op still fails at once, inside the scope.
+    EXPECT_FALSE(a.wait_durable(0).ok());
+    // Another log's wait blocks as always: on return it is durable.
+    const std::uint64_t other = b.log(op);
+    ASSERT_TRUE(b.wait_durable(other).ok());
+    EXPECT_GE(b.wal()->durable_seq(), other);
+    EXPECT_EQ(deferred.highest_seq(), second);
+    Outcomes outcomes;
+    a.on_durable(deferred.highest_seq(), outcomes.record());
+    ASSERT_TRUE(outcomes.wait_for(1));
+    EXPECT_TRUE(outcomes.statuses()[0].ok());
+    EXPECT_GE(a.wal()->durable_seq(), second);
+  }
+  // Scope closed: the same log's waits block again.
+  const std::uint64_t after = a.log(op);
+  ASSERT_TRUE(a.wait_durable(after).ok());
+  EXPECT_GE(a.wal()->durable_seq(), after);
+  // A null log opens no scope.
+  const util::DeferredDurability none(nullptr);
+  EXPECT_FALSE(util::DeferredDurability::defer(&a, 7));
+  EXPECT_EQ(none.highest_seq(), 0u);
+}
+
 // ---- Snapshot tests --------------------------------------------------------
 
 TEST(SnapshotTest, WriteLoadRoundTrip) {
@@ -614,6 +790,43 @@ TEST(DurabilityProviderTest, UnusableDirFallsBackToInMemory) {
   EXPECT_FALSE(provider.durability_status().ok());
   ASSERT_TRUE(provider.signup("bob", "bobpw").ok());
   EXPECT_TRUE(provider.login("bob", "bobpw").ok());
+}
+
+TEST(DurabilityProviderTest, WalFailureAnswers503NotAFlowDenial) {
+  ScratchDir dir("wal_failure_503");
+  util::SimClock clock;
+  ProviderConfig config = durable_config(dir.path());
+  // Lands a few frames past the sign-up: its entries persist whole, and
+  // the log fails inside one of the puts below.
+  config.durability.fault = net::FileFaultPlan::error_at(4096);
+  Provider provider(std::move(config), clock);
+  ASSERT_TRUE(provider.durability_status().ok());
+  ASSERT_TRUE(provider.signup("bob", "bobpw").ok());
+  const std::string bob = provider.login("bob", "bobpw").value();
+  ASSERT_LT(provider.durable()->wal()->segment_bytes(), 4096u);
+  const std::string body = R"({"note":")" + std::string(200, 'n') + R"("})";
+  int created = 0;
+  int failed = 0;
+  for (int i = 0; i < 40; ++i) {
+    const auto response = provider.http(
+        Method::kPost, "/data/notes/n" + std::to_string(i), body, bob);
+    if (response.status == 201) {
+      EXPECT_EQ(failed, 0) << "a 2xx after the log failed, put " << i;
+      ++created;
+      continue;
+    }
+    // The failing put and every later one: a server fault, not a DIFC
+    // decision.
+    EXPECT_EQ(response.status, 503) << response.body;
+    EXPECT_EQ(response.body, R"({"error":"wal.failed"})");
+    ++failed;
+  }
+  EXPECT_GT(created, 0);
+  EXPECT_GT(failed, 0);
+  EXPECT_TRUE(provider.durable()->wal()->failed());
+  const auto gone = provider.http(Method::kDelete, "/data/notes/n0", "", bob);
+  EXPECT_EQ(gone.status, 503) << gone.body;
+  EXPECT_EQ(provider.audit().count(platform::AuditKind::kFlowDenied), 0u);
 }
 
 TEST(DurabilityProviderTest, BackgroundCompactorCheckpoints) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -215,9 +216,11 @@ TEST_F(MetasearchTest, CursorPaginatesTheMergedWindowWithoutOverlap) {
 TEST_F(MetasearchTest, SlowPeerHitsTheCutoffAndThePageDegradesToPartial) {
   put_one_everywhere();
   MetasearchConfig config;
-  config.fanout_budget_micros = 5'000;  // 5 ms gather budget
+  // 100 ms gather budget: far more than a healthy hop takes even in a
+  // sanitizer build on a loaded host, so only the stalled peer misses it.
+  config.fanout_budget_micros = 100'000;
   Metasearch meta(home_node_, config);
-  // peerC's wire stalls 100 ms on the first write — far past the budget.
+  // peerC's wire stalls 400 ms on the first write — four budgets long.
   meta.set_connection_decorator(
       [](const std::string& peer, std::unique_ptr<net::Connection> inner)
           -> std::unique_ptr<net::Connection> {
@@ -225,7 +228,7 @@ TEST_F(MetasearchTest, SlowPeerHitsTheCutoffAndThePageDegradesToPartial) {
         return std::make_unique<net::FaultyConnection>(
             std::move(inner),
             net::FaultSchedule::scripted(
-                {}, {{net::FaultKind::kDelay, 100'000, 1}}));
+                {}, {{net::FaultKind::kDelay, 400'000, 1}}));
       });
   auto page = meta.search(os::kKernelPid, "bob", make_query());
   ASSERT_TRUE(page.ok()) << page.error().code;
@@ -237,6 +240,41 @@ TEST_F(MetasearchTest, SlowPeerHitsTheCutoffAndThePageDegradesToPartial) {
   auto ids = ids_of(page.value());
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<std::string>{"b1", "d1", "h1"}));
+}
+
+// Regression: a straggling hop from one search and the next search's hop
+// to the same slow peer both run that peer node's accept and pump
+// callbacks. The node's connection queue and the in-memory pipe buffers
+// were unlocked, so the two hop threads raced on them (heap-use-after-free
+// under ASan, data races under TSan). Run under both sanitizers.
+TEST_F(MetasearchTest, StragglerAndNextSearchShareTheSlowPeerSafely) {
+  put_one_everywhere();
+  MetasearchConfig config;
+  config.fanout_budget_micros = 20'000;
+  Metasearch meta(home_node_, config);
+  // Three back-to-back searches (the third timeout opens peerC's breaker).
+  // Each connection to peerC stalls on its first write, each one budget
+  // less than the one before, so all three hops to peerC write and pump
+  // it at about the same moment, after their searches gave up on them.
+  std::atomic<int> dials{0};
+  meta.set_connection_decorator(
+      [&dials](const std::string& peer, std::unique_ptr<net::Connection> inner)
+          -> std::unique_ptr<net::Connection> {
+        if (peer != "peerC") return inner;
+        const util::Micros stall = 80'000 - 20'000 * dials++;
+        return std::make_unique<net::FaultyConnection>(
+            std::move(inner),
+            net::FaultSchedule::scripted(
+                {}, {{net::FaultKind::kDelay, stall, 1}}));
+      });
+  for (int search = 0; search < 3; ++search) {
+    auto page = meta.search(os::kKernelPid, "bob", make_query());
+    ASSERT_TRUE(page.ok()) << page.error().code;
+    EXPECT_TRUE(page.value().partial);
+    EXPECT_EQ(outcome_for(page.value(), "peerC")->status, "timeout");
+  }
+  // ~Metasearch joins the stragglers, which finish their exchanges with
+  // peerC meanwhile: each of them dials, writes, pumps and reads.
 }
 
 TEST_F(MetasearchTest, DeadPeerOpensItsBreakerAndResultsStillServe) {

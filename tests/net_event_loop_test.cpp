@@ -1,8 +1,9 @@
 // Reactor serving core (DESIGN.md §15): the epoll edge-triggered
 // EventLoopHttpServer and its hashed timer wheel. Covers the wheel's
 // schedule/expire/lap semantics, then drives the reactor over real TCP
-// sockets: keep-alive, pipelining, slow-client reaping (408 / silent
-// close / write timeout), dispatch-time shedding, oversize rejections,
+// sockets: keep-alive, pipelining, parked responses answered from
+// another thread, slow-client reaping (408 / silent close / write
+// timeout), dispatch-time shedding, oversize rejections,
 // fault injection through the connection decorator, and the
 // connection-plane gauges under hundreds of idle connections.
 #include <gtest/gtest.h>
@@ -167,6 +168,8 @@ class ReactorServer {
  public:
   struct Config {
     ServerHandler handler = echo_handler;
+    // Set: answers through the Responder instead of `handler`.
+    EventLoopHttpServer::Handler respond;
     BoundedExecutor executor;  // null → inline
     ParserLimits limits{};
     ServerOptions options{};
@@ -176,7 +179,9 @@ class ReactorServer {
   };
 
   explicit ReactorServer(Config config)
-      : server_(std::move(config.handler),
+      : server_(config.respond
+                    ? std::move(config.respond)
+                    : EventLoopHttpServer::blocking(std::move(config.handler)),
                 config.executor ? std::move(config.executor)
                                 : [](std::function<void()> job) {
                                     job();
@@ -275,6 +280,151 @@ TEST(EventLoopServer, PipelinedRequestsInOneBufferAnswerInOrder) {
     ASSERT_TRUE(response.ok()) << response.error().code;
     EXPECT_EQ(response.value().body, "echo:p" + std::to_string(i));
   }
+}
+
+// ---- Parked responses: the handler answers later, from another thread ----
+
+// Holds the Responders of "/park" requests until the test releases them;
+// every other request is answered at once.
+class ParkingLot {
+ public:
+  EventLoopHttpServer::Handler handler() {
+    return [this](const HttpRequest& request, Responder respond) {
+      if (request.parsed.path != "/park") {
+        respond(echo_handler(request));
+        return;
+      }
+      const std::lock_guard<std::mutex> lock(mutex_);
+      parked_.push_back({request.body, std::move(respond)});
+      ++total_;
+      cv_.notify_all();
+    };
+  }
+
+  // Blocks until `n` requests have parked in all.
+  bool wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, 5s, [&] { return total_ >= n; });
+  }
+  std::size_t total() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return total_;
+  }
+
+  // Answers the oldest parked request from the calling (non-loop) thread.
+  // The Responder is returned so a test can call it again.
+  Responder release_oldest() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    Parked parked = std::move(parked_.front());
+    parked_.erase(parked_.begin());
+    lock.unlock();
+    parked.respond(HttpResponse::text(200, "parked:" + parked.body));
+    return parked.respond;
+  }
+
+ private:
+  struct Parked {
+    std::string body;
+    Responder respond;
+  };
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Parked> parked_;
+  std::size_t total_ = 0;
+};
+
+std::string post_wire(const std::string& target, const std::string& body) {
+  HttpRequest request;
+  request.method = Method::kPost;
+  request.target = target;
+  request.body = body;
+  return request.to_wire();
+}
+
+TEST(EventLoopServer, ParkedResponseLeavesTheLoopServingOthers) {
+  ParkingLot lot;
+  ReactorServer server({.respond = lot.handler()});
+  auto parked = tcp_connect(server.port());
+  ASSERT_TRUE(parked.ok());
+  ASSERT_TRUE(parked.value()->write(post_wire("/park", "a")).ok());
+  ASSERT_TRUE(lot.wait_for(1));
+  // One loop, and its only other connection is parked: it must still
+  // answer this one.
+  auto other = tcp_connect(server.port());
+  ASSERT_TRUE(other.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(other.value()->write(post_wire("/echo", "o")).ok());
+    auto response = read_response(*other.value());
+    ASSERT_TRUE(response.ok()) << response.error().code;
+    EXPECT_EQ(response.value().body, "echo:o");
+  }
+  lot.release_oldest();  // from this thread: through the loop's mailbox
+  auto response = read_response(*parked.value());
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "parked:a");
+}
+
+TEST(EventLoopServer, PipelinedRequestsBehindAParkedOneAnswerInOrder) {
+  ParkingLot lot;
+  ReactorServer server({.respond = lot.handler()});
+  auto client = tcp_connect(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()
+                  ->write(post_wire("/park", "p0") + post_wire("/park", "p1") +
+                          post_wire("/echo", "e2") + post_wire("/park", "p3"))
+                  .ok());
+  PipelinedReader reader(*client.value());
+  ASSERT_TRUE(lot.wait_for(1));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(lot.total(), 1u) << "a request behind a parked one was dispatched";
+  // A second call of an answered Responder is dropped: it must not answer
+  // the request pipelined behind.
+  Responder first = lot.release_oldest();
+  auto response = reader.next();
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "parked:p0");
+  ASSERT_TRUE(lot.wait_for(2));
+  first(HttpResponse::text(200, "stale"));
+  lot.release_oldest();
+  response = reader.next();
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "parked:p1");
+  response = reader.next();
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "echo:e2");
+  ASSERT_TRUE(lot.wait_for(3));
+  lot.release_oldest();
+  response = reader.next();
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "parked:p3");
+}
+
+TEST(EventLoopServer, ClientGoneWhileParkedDropsTheAnswer) {
+  ParkingLot lot;
+  ConnStats conn_stats;
+  ReactorServer server({.respond = lot.handler(), .conn_stats = &conn_stats});
+  {
+    auto gone = tcp_connect(server.port());
+    ASSERT_TRUE(gone.ok());
+    ASSERT_TRUE(gone.value()->write(post_wire("/park", "gone")).ok());
+    ASSERT_TRUE(lot.wait_for(1));
+  }  // the client hangs up while its request is parked
+  auto other = tcp_connect(server.port());
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(other.value()->write(post_wire("/echo", "still")).ok());
+  auto response = read_response(*other.value());
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "echo:still");
+  // The late answer finds a dead (or dying) connection and is dropped;
+  // the loop carries on, and the dead connection is reclaimed.
+  lot.release_oldest();
+  ASSERT_TRUE(other.value()->write(post_wire("/echo", "after")).ok());
+  response = read_response(*other.value());
+  ASSERT_TRUE(response.ok()) << response.error().code;
+  EXPECT_EQ(response.value().body, "echo:after");
+  for (int i = 0; i < 2000 && conn_stats.open.load() != 1; ++i)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(conn_stats.open.load(), 1);
 }
 
 TEST(EventLoopServer, DeepPipelineDrainsIterativelyWithInlineDispatch) {
