@@ -29,10 +29,7 @@ Json make_document(std::size_t records, w5::util::Rng& rng) {
   return doc;
 }
 
-void BM_JsonDump(benchmark::State& state) {
-  w5::util::Rng rng(1);
-  const Json doc = make_document(static_cast<std::size_t>(state.range(0)),
-                                 rng);
+void dump_loop(benchmark::State& state, const Json& doc) {
   std::size_t bytes = 0;
   for (auto _ : state) {
     const std::string text = doc.dump();
@@ -42,7 +39,49 @@ void BM_JsonDump(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
+
+void BM_JsonDump(benchmark::State& state) {
+  w5::util::Rng rng(1);
+  dump_loop(state, make_document(static_cast<std::size_t>(state.range(0)),
+                                 rng));
+}
 BENCHMARK(BM_JsonDump)->Arg(10)->Arg(100)->Arg(1000);
+
+// The 64 KiB photo body of w5bench's inproc_bulk_read view: one long
+// string with nothing to escape, where the escape's per-byte cost is all
+// there is.
+void BM_JsonDumpBigString(benchmark::State& state) {
+  w5::util::Rng rng(5);
+  std::string pixels(64 * 1024, 'a');
+  for (char& c : pixels) c = static_cast<char>('a' + rng.next_below(26));
+  Json doc;
+  doc["caption"] = "big";
+  doc["pixels"] = std::move(pixels);
+  doc["title"] = "big";
+  dump_loop(state, doc);
+}
+BENCHMARK(BM_JsonDumpBigString);
+
+// A 50-row photos-app list page, shaped like the one the photos app
+// prints: short keys, a 16–64 byte caption per row.
+void BM_JsonDumpPhotoList(benchmark::State& state) {
+  w5::util::Rng rng(6);
+  Json photos = Json::array();
+  for (int i = 0; i < 50; ++i) {
+    Json item;
+    item["id"] = "u07-p" + std::to_string(10 + i);
+    item["title"] = "photo " + std::to_string(10 + i);
+    item["caption"] = "cnry-u07-1a2b3c4d " +
+                      rng.next_string(16 + rng.next_below(49));
+    photos.push_back(std::move(item));
+  }
+  Json doc;
+  doc["user"] = "u07";
+  doc["photos"] = std::move(photos);
+  doc["next_cursor"] = "photos/u07-p59";
+  dump_loop(state, doc);
+}
+BENCHMARK(BM_JsonDumpPhotoList);
 
 void BM_JsonParse(benchmark::State& state) {
   w5::util::Rng rng(2);

@@ -14,6 +14,10 @@
 //   BM_QuantizedCountChannel — the §3.5 count channel: with quantum q,
 //       counts for populations n and n+1 must be identical
 //       (quantized_delta counter == 0 while raw_delta == 1).
+//   BM_OwnerPage — report-only: one 50-row owner page through an app
+//       process's clearance (every user's secrecy tag, Flume's Ô), over
+//       64 owners × 65 records, one of them a 64 KiB photo — the shape
+//       of w5bench's inproc_bulk_read list pages — at 1 and 4 threads.
 //
 // The fixture is built once and shared (1M labeled puts take seconds);
 // benchmarks only read it, except the count channel which restores the
@@ -28,6 +32,7 @@
 
 #include "store/labeled_store.h"
 #include "store/query.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -211,5 +216,96 @@ void BM_QuantizedCountChannel(benchmark::State& state) {
   state.counters["quantum"] = static_cast<double>(quantum);
 }
 BENCHMARK(BM_QuantizedCountChannel)->Arg(100)->Unit(benchmark::kMillisecond);
+
+// 64 owners, each with 64 small photos and one 64 KiB photo under their
+// own secrecy tag; every tag is globally addable, as the provider makes
+// each user's sec(u)+.
+struct PageFixture {
+  static constexpr std::size_t kPageOwners = 64;
+  static constexpr std::size_t kPhotos = 64;
+
+  w5::os::Kernel kernel;
+  w5::util::SimClock clock;
+  LabeledStore store{kernel, clock};
+
+  // "u07-p12"; the 64 KiB photo is "u07-zbig", after every small one.
+  static std::string photo_id(std::size_t owner, std::size_t p) {
+    char buf[48];
+    if (p == kPhotos) {
+      std::snprintf(buf, sizeof buf, "u%02zu-zbig", owner);
+    } else {
+      std::snprintf(buf, sizeof buf, "u%02zu-p%02zu", owner, p);
+    }
+    return buf;
+  }
+
+  PageFixture() {
+    w5::util::Rng rng(18);
+    for (std::size_t o = 0; o < kPageOwners; ++o) {
+      const Tag tag = kernel
+                          .create_tag(kKernelPid, "sec(u" + std::to_string(o) +
+                                                      ")",
+                                      w5::difc::TagPurpose::kSecrecy)
+                          .value();
+      kernel.add_global_capability(plus(tag));
+      const std::string owner = "u" + std::to_string(o);
+      for (std::size_t p = 0; p <= kPhotos; ++p) {
+        Record record;
+        record.collection = "photos";
+        record.id = photo_id(o, p);
+        record.owner = owner;
+        record.labels = ObjectLabels{Label{tag}, {}};
+        record.data["title"] = "photo " + std::to_string(p);
+        record.data["caption"] =
+            p < kPhotos ? rng.next_string(16 + rng.next_below(49))
+                        : rng.next_string(64 * 1024);
+        (void)store.put(kKernelPid, std::move(record));
+      }
+    }
+  }
+
+  static PageFixture& shared() {
+    static PageFixture* fx = new PageFixture();  // built once, leaked
+    return *fx;
+  }
+};
+
+void BM_OwnerPage(benchmark::State& state) {
+  PageFixture& fx = PageFixture::shared();
+  // One app process per thread: its clearance holds every owner's tag,
+  // and its first page from each owner raises it once.
+  const w5::os::Pid app = fx.kernel.spawn_trusted(
+      "app:bench", w5::difc::LabelState({}, {}, {}));
+  w5::util::Rng rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    const std::size_t owner = rng.next_below(PageFixture::kPageOwners);
+    const std::size_t start = rng.next_below(PageFixture::kPhotos - 50 + 1);
+    QueryOptions options;
+    options.owner = "u" + std::to_string(owner);
+    options.limit = 50;
+    if (start > 0)
+      options.cursor = "photos/" + PageFixture::photo_id(owner, start - 1);
+    auto page = fx.store.query_page(app, "photos", options);
+    if (!page.ok()) {
+      state.SkipWithError("query_page failed");
+      break;
+    }
+    rows += page.value().records.size();
+    benchmark::DoNotOptimize(page.value().records.data());
+  }
+  (void)fx.kernel.exit(app);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["rows_per_page"] = benchmark::Counter(
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(rows) / static_cast<double>(state.iterations()),
+      benchmark::Counter::kAvgThreads);
+}
+BENCHMARK(BM_OwnerPage)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -11,7 +11,8 @@
 # race real worker threads — durable puts parked on the WAL flusher,
 # and metasearch hops sharing a slow peer); running the whole suite
 # under TSan adds minutes for zero extra interleavings. ASan+UBSan run everything, with
-# LeakSanitizer ON (suppressions: scripts/lsan.supp).
+# LeakSanitizer ON (suppressions: scripts/lsan.supp), and then the
+# allocation-budget test, which is a binary of its own.
 #
 # Static legs live in scripts/ci.sh lint: w5lint (layering / perimeter /
 # telemetry / banned functions), w5flow (taint + lock order) and, when
@@ -42,11 +43,16 @@ run_asan() {
   echo "== AddressSanitizer + UndefinedBehaviorSanitizer =="
   cmake -B build-asan -S . -DW5_SANITIZE=address,undefined \
     -DW5_LOCK_WITNESS=ON >/dev/null
-  cmake --build build-asan -j "$jobs" --target w5_tests
+  cmake --build build-asan -j "$jobs" --target w5_tests alloc_budget_test
   ASAN_OPTIONS="detect_leaks=1" \
     LSAN_OPTIONS="suppressions=scripts/lsan.supp:print_suppressions=0" \
     UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/w5_tests
+  # Its own binary: it replaces operator new to count allocations.
+  ASAN_OPTIONS="detect_leaks=1" \
+    LSAN_OPTIONS="suppressions=scripts/lsan.supp:print_suppressions=0" \
+    UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/alloc_budget_test
 }
 
 case "$leg" in

@@ -119,7 +119,18 @@ Gateway::Gateway(Provider& provider) : provider_(provider) {
   request_latency_ = &metrics.histogram("w5_request_latency_micros");
 }
 
-net::HttpResponse Gateway::handle(const net::HttpRequest& request) {
+void Gateway::count_response(int status) {
+  switch (status / 100) {
+    case 2: responses_2xx_->inc(); break;
+    case 3: responses_3xx_->inc(); break;
+    case 4: responses_4xx_->inc(); break;
+    case 5: responses_5xx_->inc(); break;
+    default: break;
+  }
+}
+
+net::HttpResponse Gateway::handle(const net::HttpRequest& request,
+                                  Count count) {
   // The W5_NO_TELEMETRY baseline must not pay for clock reads or header
   // stamping either — the whole plane compiles down to a bare dispatch.
   if constexpr (!util::kTelemetryEnabled) return router_.dispatch(request);
@@ -164,13 +175,7 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request) {
   std::size_t route_index = net::Router::kNoRoute;
   net::HttpResponse response =
       router_.dispatch(request, &pattern, &route_index);
-  switch (response.status / 100) {
-    case 2: responses_2xx_->inc(); break;
-    case 3: responses_3xx_->inc(); break;
-    case 4: responses_4xx_->inc(); break;
-    case 5: responses_5xx_->inc(); break;
-    default: break;
-  }
+  if (count == Count::kNow) count_response(response.status);
   if (pattern != nullptr) context.set_route(*pattern);
   if (route_index < route_hits_.size()) route_hits_[route_index]->inc();
   context.set_status(response.status);

@@ -25,7 +25,14 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  net::HttpResponse handle(const net::HttpRequest& request);
+  // Answers one request and counts its class in w5_responses_total,
+  // unless `count` is kLater: the reactor parks a durable write until its
+  // fsync, which may still turn the answer into a 503, so it counts the
+  // answer the client receives itself (Provider::serve_one).
+  enum class Count : std::uint8_t { kNow, kLater };
+  net::HttpResponse handle(const net::HttpRequest& request,
+                           Count count = Count::kNow);
+  void count_response(int status);
 
   // Export check, factored out so the federation layer can reuse it for
   // peer syncs: may `label` leave the perimeter toward `viewer` at

@@ -286,30 +286,38 @@ void Provider::serve_one(const net::HttpRequest& request,
                          net::Responder respond) {
   // The components' fsync waits on our log return at once inside the
   // scope; `pending` is the highest sequence this request wrote.
+  // The gateway leaves the response count to us: /metrics counts the
+  // status the client receives.
   std::uint64_t pending = 0;
   net::HttpResponse response;
   {
     const util::DeferredDurability deferred(durable_.get());
-    response = handle(request);
+    response = gateway_->handle(request, Gateway::Count::kLater);
     pending = deferred.highest_seq();
   }
   if (pending == 0) {
+    gateway_->count_response(response.status);
     respond(std::move(response));
     return;
   }
   // Park: the loop serves other connections while the flusher batches
   // this write with theirs. A log that fails first turns the answer into
-  // the 503 the in-process path gives — never an ack (DESIGN.md §13).
-  durable_->on_durable(pending, [respond = std::move(respond),
+  // the 503 the in-process path gives — never an ack (DESIGN.md §13) —
+  // and the request's trace says so too.
+  durable_->on_durable(pending, [this, respond = std::move(respond),
                                  response = std::move(response)](
                                     util::Status durable) mutable {
     if (durable.ok()) {
+      gateway_->count_response(response.status);
       respond(std::move(response));
       return;
     }
     net::HttpResponse failure = durability_failure(durable.error());
-    if (const auto trace = response.headers.get(net::kTraceHeader))
+    if (const auto trace = response.headers.get(net::kTraceHeader)) {
+      traces_.set_status(*trace, failure.status);
       failure.headers.set(std::string(net::kTraceHeader), *trace);
+    }
+    gateway_->count_response(failure.status);
     respond(std::move(failure));
   });
 }

@@ -187,9 +187,9 @@ TraceBuffer::Lookup TraceBuffer::lookup(const std::string& id,
   return Lookup::kUnknown;
 }
 
-bool TraceBuffer::append_spans(const std::string& id,
-                               std::vector<TraceSpan> spans) {
-  if (id.empty() || spans.empty()) return false;
+template <typename Edit>
+bool TraceBuffer::edit_resident(const std::string& id, Edit&& edit) {
+  if (id.empty()) return false;  // never match an unused slot
   const std::uint64_t total =
       recorded_total_.load(std::memory_order_relaxed);
   const auto held =
@@ -198,11 +198,22 @@ bool TraceBuffer::append_spans(const std::string& id,
     const auto slot = static_cast<std::size_t>((total - 1 - i) % capacity_);
     const util::MutexLock lock(slot_mutexes_[slot]);
     if (ring_[slot].id != id) continue;
-    Trace& trace = ring_[slot];
+    edit(ring_[slot]);
+    return true;
+  }
+  return false;
+}
+
+bool TraceBuffer::append_spans(const std::string& id,
+                               std::vector<TraceSpan> spans) {
+  if (spans.empty()) return false;
+  bool sampled = false;
+  const bool resident = edit_resident(id, [&](Trace& trace) {
     // Unsampled traces intentionally carry no spans; late stage spans
     // for them are suppressed, not "lost" — the dropped counter stays
     // a slot-exhaustion signal.
-    if (!trace.sampled) return false;
+    sampled = trace.sampled;
+    if (!sampled) return;
     std::size_t appended = 0;
     for (TraceSpan& span : spans) {
       if (trace.spans.size() >= kMaxSpansPerTrace) break;
@@ -212,12 +223,16 @@ bool TraceBuffer::append_spans(const std::string& id,
     if (appended < spans.size())
       dropped_spans_.fetch_add(spans.size() - appended,
                                std::memory_order_relaxed);
-    return true;
-  }
+  });
+  if (resident) return sampled;
   // The trace aged out (or was never recorded) before the late spans
   // arrived — they are lost to slot exhaustion.
   dropped_spans_.fetch_add(spans.size(), std::memory_order_relaxed);
   return false;
+}
+
+bool TraceBuffer::set_status(const std::string& id, int status) {
+  return edit_resident(id, [&](Trace& trace) { trace.status = status; });
 }
 
 std::uint64_t TraceBuffer::dropped() const {

@@ -102,6 +102,11 @@ class TraceBuffer {
   // per-trace span cap counts into dropped().
   bool append_spans(const std::string& id, std::vector<TraceSpan> spans);
 
+  // Replaces a recorded trace's status: a parked durable write whose
+  // fsync fails is answered 503 after the gateway recorded its trace.
+  // False when the id is no longer resident.
+  bool set_status(const std::string& id, int status);
+
   std::size_t size() const;        // traces currently held
   std::uint64_t recorded() const;  // lifetime total
   // Spans lost to ring slot exhaustion (sampled traces evicted with their
@@ -111,6 +116,11 @@ class TraceBuffer {
  private:
   static constexpr std::size_t kEvictedIds = 1024;
   static constexpr std::size_t kMaxSpansPerTrace = 128;
+
+  // Runs edit(trace) under the slot lock of the resident trace `id`,
+  // newest first; false when no resident trace has that id.
+  template <typename Edit>
+  bool edit_resident(const std::string& id, Edit&& edit);
 
   std::size_t capacity_;
   std::atomic<std::uint64_t> recorded_total_{0};

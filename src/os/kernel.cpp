@@ -153,10 +153,16 @@ std::size_t Kernel::process_table_size() const {
 util::Result<difc::LabelState> Kernel::effective_state(Pid pid) const {
   if (pid == kKernelPid) {
     // The kernel itself is omnipotent over all existing tags: model as a
-    // state owning dual privilege for every registered tag.
-    difc::CapabilitySet all;
-    for (const difc::Tag tag : tags_.all()) all.add_dual(tag);
-    return difc::LabelState({}, {}, std::move(all));
+    // state owning dual privilege for every registered tag. The registry
+    // yields tags in hash order, so collect both signs and sort once.
+    const std::vector<difc::Tag> tags = tags_.all();
+    std::vector<difc::Capability> caps;
+    caps.reserve(2 * tags.size());
+    for (const difc::Tag tag : tags) {
+      caps.push_back(difc::plus(tag));
+      caps.push_back(difc::minus(tag));
+    }
+    return difc::LabelState({}, {}, difc::CapabilitySet(std::move(caps)));
   }
   const util::ReadLock lock(mutex_);
   auto proc = live_process(pid);

@@ -67,7 +67,7 @@ void ShardIndex::remove_fields(const RecordKey& key, const Record& record,
 }
 
 void ShardIndex::rebuild_field(const IndexSpec& spec,
-                               const std::map<RecordKey, Record>& records) {
+                               const RecordMap& records) {
   // Drop every list for this (collection, field) then re-derive: the
   // backfill must converge even if a racing put already inserted entries
   // (posting_insert is idempotent).
@@ -81,7 +81,7 @@ void ShardIndex::rebuild_field(const IndexSpec& spec,
   const auto begin = records.lower_bound(RecordKey{spec.collection, ""});
   for (auto rec = begin;
        rec != records.end() && rec->first.first == spec.collection; ++rec) {
-    add_fields(rec->first, rec->second, one);
+    add_fields(rec->first, *rec->second, one);
   }
 }
 

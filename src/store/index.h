@@ -6,11 +6,11 @@
 //
 //   by_owner   owner            → keys (all collections)
 //   by_label   secrecy label    → keys — records grouped by their exact
-//              label *set*, so one memoized clearance check
-//              (difc::cached_subset) admits or skips an entire list;
-//              invisible groups are never touched, which is both the
-//              perf win and the §3.5 story (unreadable records cost the
-//              caller nothing observable).
+//              label *set*, so one clearance check (Label::subset_of)
+//              admits or skips an entire list; invisible groups are
+//              never touched, which is both the perf win and the §3.5
+//              story (unreadable records cost the caller nothing
+//              observable).
 //   by_field   (collection, field, value) → keys for registered
 //              IndexSpecs — equality lookups on string-valued data
 //              fields (matching field_equals() semantics; non-string
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -34,6 +35,12 @@
 namespace w5::store {
 
 using RecordKey = std::pair<std::string, std::string>;  // (collection, id)
+
+// A shard holds each record as one published, immutable version: a put
+// swaps in a new one, so a reader that took a reference under the shard
+// lock may keep reading it after the lock is released.
+using RecordRef = std::shared_ptr<const Record>;
+using RecordMap = std::map<RecordKey, RecordRef>;
 
 // A registered equality index over data[field] for one collection.
 // Registration is create_index(); the spec list is read on every put, so
@@ -82,8 +89,7 @@ struct ShardIndex {
 
   // Drops and rebuilds by_field entries for exactly one spec from the
   // given records (create_index backfill on a non-empty store).
-  void rebuild_field(const IndexSpec& spec,
-                     const std::map<RecordKey, Record>& records);
+  void rebuild_field(const IndexSpec& spec, const RecordMap& records);
 
   void clear() {
     by_owner.clear();

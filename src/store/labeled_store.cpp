@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-
-#include "difc/label_table.h"
+#include <utility>
 
 namespace w5::store {
 
@@ -26,9 +25,15 @@ util::Error not_found(const std::string& collection, const std::string& id) {
   return util::make_error("store.not_found", collection + "/" + id);
 }
 
-bool key_less(const Record& a, const Record& b) {
-  if (a.collection != b.collection) return a.collection < b.collection;
-  return a.id < b.id;
+bool key_less(const RecordRef& a, const RecordRef& b) {
+  if (a->collection != b->collection) return a->collection < b->collection;
+  return a->id < b->id;
+}
+
+// Joins `label` into `join`, allocating only when it adds a tag — the
+// rows of one page usually share one label.
+void join_into(difc::Label& join, const difc::Label& label) {
+  if (!label.subset_of(join)) join = join.union_with(label);
 }
 
 }  // namespace
@@ -45,7 +50,7 @@ util::Result<difc::LabelState> LabeledStore::caller(os::Pid pid) const {
 
 bool LabeledStore::visible(const Record& record,
                            const difc::Label& clearance) {
-  return difc::cached_subset(record.labels.secrecy, clearance);
+  return record.labels.secrecy.subset_of(clearance);
 }
 
 std::vector<IndexSpec> LabeledStore::specs_snapshot() const {
@@ -95,15 +100,18 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
     }
     record.version = 1;
     record.updated_micros = clock_.now();
-    const auto inserted = shard.records.emplace(key, std::move(record)).first;
-    shard.index.add(key, inserted->second, specs);
+    const Record& created =
+        *shard.records
+             .emplace(key, std::make_shared<const Record>(std::move(record)))
+             .first->second;
+    shard.index.add(key, created, specs);
     // log() under the shard lock so commit order matches lock order; the
     // durability wait happens after release (never fsync under a lock).
     std::uint64_t seq = 0;
     if (mutation_log_ != nullptr) {
       util::Json op;
       op["op"] = "store.put";
-      op["record"] = inserted->second.to_json();
+      op["record"] = created.to_json();
       seq = mutation_log_->log(op);
     }
     lock.unlock();
@@ -114,7 +122,7 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
   // Overwrite: the record's existing labels govern; stored labels and
   // owner are immutable through this path (relabel is a provider op), so
   // only the field postings can move.
-  Record& existing = it->second;
+  const Record& existing = *it->second;
   if (auto status = difc::check_write(
           widen_for(state.value(), existing.labels), existing.labels);
       !status.ok()) {
@@ -130,16 +138,23 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
       return charged;
     }
   }
+  // Readers may still hold the published version, so the overwrite builds
+  // the next one — the old metadata, the new data — and swaps it in. The
+  // old version is released after the lock, not under it.
+  record.owner = existing.owner;
+  record.labels = existing.labels;
+  record.version = existing.version + 1;
+  record.updated_micros = clock_.now();
   shard.index.remove_fields(key, existing, specs);
-  existing.data = std::move(record.data);
-  existing.version += 1;
-  existing.updated_micros = clock_.now();
-  shard.index.add_fields(key, existing, specs);
+  const RecordRef previous = std::exchange(
+      it->second, std::make_shared<const Record>(std::move(record)));
+  const Record& updated = *it->second;
+  shard.index.add_fields(key, updated, specs);
   std::uint64_t seq = 0;
   if (mutation_log_ != nullptr) {
     util::Json op;
     op["op"] = "store.put";
-    op["record"] = existing.to_json();
+    op["record"] = updated.to_json();
     seq = mutation_log_->log(op);
   }
   lock.unlock();
@@ -153,19 +168,20 @@ util::Result<Record> LabeledStore::get(os::Pid pid,
   auto state = caller(pid);
   if (!state.ok()) return state.error();
   const Key key{collection, id};
-  Record record;
+  RecordRef ref;
   {
-    // Copy out under the shard lock; the read linearizes here. The raise
-    // and flow check run against the copy so we never hold the shard lock
-    // across a label change.
+    // Take the published version under the shard lock; the read
+    // linearizes here. The raise and flow check run after release, so we
+    // never hold the shard lock across a label change.
     const Shard& shard = shard_for(key);
     util::telemetry_count(gets_);
     util::telemetry_count(shard.ops);
     const util::ReadLock lock(shard.mutex);
     const auto it = shard.records.find(key);
     if (it == shard.records.end()) return not_found(collection, id);
-    record = it->second;
+    ref = it->second;
   }
+  const Record& record = *ref;
 
   // Outside clearance the record does not exist — indistinguishable from
   // a missing id (no existence leak).
@@ -202,15 +218,17 @@ util::Status LabeledStore::remove(os::Pid pid, const std::string& collection,
   const auto it = shard.records.find(key);
   if (it == shard.records.end())
     return util::Status(not_found(collection, id));
-  if (!visible(it->second, state.value().secrecy_clearance()))
+  const Record& existing = *it->second;
+  if (!visible(existing, state.value().secrecy_clearance()))
     return util::Status(not_found(collection, id));
   // Vandalism is a write (§3.1): deletion needs write authority.
   if (auto status = difc::check_write(
-          widen_for(state.value(), it->second.labels), it->second.labels);
+          widen_for(state.value(), existing.labels), existing.labels);
       !status.ok()) {
     return status;
   }
-  shard.index.remove(key, it->second, specs);
+  shard.index.remove(key, existing, specs);
+  const RecordRef removed = std::move(it->second);  // freed after the lock
   shard.records.erase(it);
   std::uint64_t seq = 0;
   if (mutation_log_ != nullptr) {
@@ -229,7 +247,7 @@ void LabeledStore::scan_shards(
     const std::string& collection, const QueryOptions& options,
     const QueryPlan& plan, const difc::Label& bound,
     const std::string& start_after, std::size_t per_shard_cap,
-    const std::function<bool(const Record&)>& sink) const {
+    const std::function<bool(const RecordRef&)>& sink) const {
   if (per_shard_cap == 0) return;
   // The scan's lower bound: strictly after the cursor when it dominates
   // min_id, else at min_id inclusive.
@@ -257,8 +275,8 @@ void LabeledStore::scan_shards(
     std::size_t emitted = 0;
     bool stop_all = false;
     // Takes a record already known visible; false stops this shard.
-    const auto emit = [&](const Record& r) -> bool {
-      if (!matches(r)) return true;
+    const auto emit = [&](const RecordRef& r) -> bool {
+      if (!matches(*r)) return true;
       if (!sink(r)) {
         stop_all = true;
         return false;
@@ -272,8 +290,8 @@ void LabeledStore::scan_shards(
                        : std::lower_bound(keys.begin(), keys.end(),
                                           Key{collection, low});
       for (; it != keys.end() && in_range(*it); ++it) {
-        const Record& record = shard.records.at(*it);
-        if (!difc::cached_subset(record.labels.secrecy, bound)) continue;
+        const RecordRef& record = shard.records.at(*it);
+        if (!record->labels.secrecy.subset_of(bound)) continue;
         if (!emit(record)) return;
       }
     };
@@ -320,14 +338,14 @@ void LabeledStore::scan_shards(
       }
       case PlanKind::kLabelScan: {
         util::telemetry_count(plans_scan_);
-        // One memoized clearance check per label *set*; a skipped group's
-        // records are never touched at all — simultaneously the perf win
-        // and the §3.5 story (unreadable records cost nothing observable).
+        // One clearance check per label *set*; a skipped group's records
+        // are never touched at all — simultaneously the perf win and the
+        // §3.5 story (unreadable records cost nothing observable).
         bool any_skipped = false;
         std::vector<const std::vector<Key>*> groups;
         for (const auto& [label, keys] : shard.index.by_label) {
           util::telemetry_count(label_groups_checked_);
-          if (difc::cached_subset(label, bound)) {
+          if (label.subset_of(bound)) {
             groups.push_back(&keys);
           } else {
             any_skipped = true;
@@ -412,25 +430,29 @@ util::Result<QueryPage> LabeledStore::run_query(os::Pid pid,
                               ? SIZE_MAX
                               : options.offset + options.limit;
 
-  // Phase 1: collect visible, matching candidates shard by shard (one
-  // lock at a time), then merge-sort by key so pagination order is
-  // deterministic regardless of sharding.
+  // Phase 1: collect references to visible, matching candidates shard
+  // by shard (one lock at a time), then sort them by key so pagination
+  // order is deterministic regardless of sharding.
   util::telemetry_count(scans_);
-  std::vector<Record> candidates;
+  std::vector<RecordRef> candidates;
   scan_shards(collection, options, plan, bound, start_after, cap,
-              [&](const Record& record) {
+              [&](const RecordRef& record) {
                 candidates.push_back(record);
                 return true;
               });
   std::sort(candidates.begin(), candidates.end(), key_less);
 
-  // Phase 2: pagination counts only rows the caller may see.
+  // Phase 2: pagination counts only rows the caller may see, and only the
+  // rows the page returns are copied.
   QueryPage page;
   difc::Label result_label;
+  if (options.offset < candidates.size())
+    page.records.reserve(
+        std::min(options.limit, candidates.size() - options.offset));
   for (std::size_t i = options.offset;
        i < candidates.size() && page.records.size() < options.limit; ++i) {
-    result_label = result_label.union_with(candidates[i].labels.secrecy);
-    page.records.push_back(std::move(candidates[i]));
+    join_into(result_label, candidates[i]->labels.secrecy);
+    page.records.push_back(*candidates[i]);
   }
   if (options.limit != SIZE_MAX && !page.records.empty() &&
       page.records.size() == options.limit) {
@@ -485,9 +507,8 @@ util::Result<std::size_t> LabeledStore::count(os::Pid pid,
   std::size_t n = 0;
   difc::Label result_label;
   scan_shards(collection, options, plan, bound, /*start_after=*/"",
-              options.limit, [&](const Record& record) {
-                result_label =
-                    result_label.union_with(record.labels.secrecy);
+              options.limit, [&](const RecordRef& record) {
+                join_into(result_label, record->labels.secrecy);
                 ++n;
                 return n < options.limit;
               });
@@ -513,10 +534,9 @@ util::Result<std::vector<std::string>> LabeledStore::list_ids(
   std::vector<std::string> out;
   difc::Label result_label;
   scan_shards(collection, options, QueryPlan{}, bound, /*start_after=*/"",
-              SIZE_MAX, [&](const Record& record) {
-                result_label =
-                    result_label.union_with(record.labels.secrecy);
-                out.push_back(record.id);
+              SIZE_MAX, [&](const RecordRef& record) {
+                join_into(result_label, record->labels.secrecy);
+                out.push_back(record->id);
                 return true;
               });
   std::sort(out.begin(), out.end());
@@ -613,27 +633,30 @@ std::size_t LabeledStore::total_records() const {
 
 std::vector<Record> LabeledStore::export_owned_by(
     const std::string& owner) const {
-  std::vector<Record> out;
+  std::vector<RecordRef> refs;
   for (const Shard& shard : shards_) {
     const util::ReadLock lock(shard.mutex);
     const auto it = shard.index.by_owner.find(owner);
     if (it == shard.index.by_owner.end()) continue;
-    for (const Key& key : it->second) out.push_back(shard.records.at(key));
+    for (const Key& key : it->second) refs.push_back(shard.records.at(key));
   }
-  std::sort(out.begin(), out.end(), key_less);
+  std::sort(refs.begin(), refs.end(), key_less);
+  std::vector<Record> out;
+  out.reserve(refs.size());
+  for (const RecordRef& ref : refs) out.push_back(*ref);
   return out;
 }
 
 util::Json LabeledStore::to_json() const {
   // Snapshot order is key order, independent of sharding.
-  std::vector<Record> all;
+  std::vector<RecordRef> all;
   for (const Shard& shard : shards_) {
     const util::ReadLock lock(shard.mutex);
     for (const auto& [key, record] : shard.records) all.push_back(record);
   }
   std::sort(all.begin(), all.end(), key_less);
   util::Json array = util::Json::array();
-  for (const Record& record : all) array.push_back(record.to_json());
+  for (const RecordRef& record : all) array.push_back(record->to_json());
   util::Json out;
   out["records"] = std::move(array);
   return out;
@@ -645,24 +668,24 @@ util::Status LabeledStore::apply_wal(const util::Json& op) {
   if (kind == "store.put") {
     auto parsed = Record::from_json(op.at("record"));
     if (!parsed.ok()) return parsed.error();
-    Record record = std::move(parsed).value();
-    const Key key{record.collection, record.id};
+    RecordRef record =
+        std::make_shared<const Record>(std::move(parsed).value());
+    const Key key{record->collection, record->id};
     Shard& shard = shard_for(key);
     util::WriteLock lock(shard.mutex);
     const auto it = shard.records.find(key);
     if (it == shard.records.end()) {
-      const auto inserted =
-          shard.records.emplace(key, std::move(record)).first;
-      shard.index.add(key, inserted->second, specs);
+      shard.index.add(key, *record, specs);
+      shard.records.emplace(key, std::move(record));
     } else {
       // Owner and labels are immutable through put(), but snapshot/WAL
       // overlap can replay a put over a snapshot record from an earlier
       // life of the key (remove + recreate straddling the boundary), and
       // the data fields can always differ — unindex the old state in
       // full and index the new one.
-      shard.index.remove(key, it->second, specs);
+      shard.index.remove(key, *it->second, specs);
+      shard.index.add(key, *record, specs);
       it->second = std::move(record);
-      shard.index.add(key, it->second, specs);
     }
     return util::ok_status();
   }
@@ -672,7 +695,7 @@ util::Status LabeledStore::apply_wal(const util::Json& op) {
     util::WriteLock lock(shard.mutex);
     const auto it = shard.records.find(key);
     if (it == shard.records.end()) return util::ok_status();  // idempotent
-    shard.index.remove(key, it->second, specs);
+    shard.index.remove(key, *it->second, specs);
     shard.records.erase(it);
     return util::ok_status();
   }
@@ -688,17 +711,19 @@ util::Status LabeledStore::load_json(const util::Json& snapshot)
   const std::vector<IndexSpec> specs = specs_snapshot();
   // Build aside, then swap under all shard locks (index order, the only
   // place more than one shard lock is ever held).
-  std::array<std::map<Key, Record>, kShardCount> records;
+  std::array<RecordMap, kShardCount> records;
   std::array<ShardIndex, kShardCount> indexes;
   for (const auto& item : snapshot.at("records").as_array()) {
-    auto record = Record::from_json(item);
-    if (!record.ok()) return record.error();
-    Key key{record.value().collection, record.value().id};
+    auto parsed = Record::from_json(item);
+    if (!parsed.ok()) return parsed.error();
+    RecordRef record =
+        std::make_shared<const Record>(std::move(parsed).value());
+    Key key{record->collection, record->id};
     const std::size_t shard = shard_index(key);
     if (records[shard].contains(key))
       return util::make_error("store.parse", "duplicate record key");
-    indexes[shard].add(key, record.value(), specs);
-    records[shard].emplace(std::move(key), std::move(record).value());
+    indexes[shard].add(key, *record, specs);
+    records[shard].emplace(std::move(key), std::move(record));
   }
   std::array<std::unique_lock<std::shared_mutex>, kShardCount> locks;
   for (std::size_t i = 0; i < kShardCount; ++i)

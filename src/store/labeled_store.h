@@ -227,8 +227,10 @@ class LabeledStore {
   struct Shard {
     mutable util::SharedMutex mutex{util::lockrank::kStoreShard,
                                     "Shard::mutex"};
-    // map keeps iteration deterministic for snapshots and queries.
-    std::map<Key, Record> records W5_GUARDED_BY(mutex);
+    // map keeps iteration deterministic for snapshots and queries. Each
+    // value is an immutable version (index.h): readers copy the reference
+    // under the lock and the record after releasing it.
+    RecordMap records W5_GUARDED_BY(mutex);
     // Secondary indexes (owner / label-set / field postings, index.h),
     // maintained in lockstep with `records` on every mutation.
     ShardIndex index W5_GUARDED_BY(mutex);
@@ -250,11 +252,12 @@ class LabeledStore {
   // time), emitting visible records that match every `options` constraint
   // in ascending key order *per shard*, at most `per_shard_cap` per
   // shard. `start_after` is the cursor bound (exclusive), empty = none.
-  // sink() returning false stops the whole scan (global early exit).
+  // sink() runs under the shard's read lock and may keep the reference;
+  // returning false stops the whole scan (global early exit).
   void scan_shards(const std::string& collection, const QueryOptions& options,
                    const QueryPlan& plan, const difc::Label& bound,
                    const std::string& start_after, std::size_t per_shard_cap,
-                   const std::function<bool(const Record&)>& sink) const;
+                   const std::function<bool(const RecordRef&)>& sink) const;
 
   // Shared by query()/query_page(): governor admission, cursor parsing,
   // planning, scan, merge-sort, pagination, raise, charge.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace w5::util {
 
@@ -112,41 +113,81 @@ bool operator==(const Json& a, const Json& b) {
   return false;
 }
 
-void json_escape(std::string_view s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out.append("\\\"");
-        break;
-      case '\\':
-        out.append("\\\\");
-        break;
-      case '\n':
-        out.append("\\n");
-        break;
-      case '\r':
-        out.append("\\r");
-        break;
-      case '\t':
-        out.append("\\t");
-        break;
-      case '\b':
-        out.append("\\b");
-        break;
-      case '\f':
-        out.append("\\f");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
+namespace {
+
+// True when some byte of `word` is one json_escape rewrites: below 0x20,
+// '"' or '\\'. Tests all eight bytes at once (the "has a byte less than
+// n" and "has a zero byte" word tricks; exact as a yes/no answer).
+bool any_escapable(std::uint64_t word) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  const auto has_zero = [](std::uint64_t v) {
+    return ((v - kOnes) & ~v & kHigh) != 0;
+  };
+  return ((word - kOnes * 0x20) & ~word & kHigh) != 0 ||
+         has_zero(word ^ (kOnes * '"')) || has_zero(word ^ (kOnes * '\\'));
+}
+
+void append_escaped(unsigned char c, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  switch (c) {
+    case '"':
+      out.append("\\\"");
+      break;
+    case '\\':
+      out.append("\\\\");
+      break;
+    case '\n':
+      out.append("\\n");
+      break;
+    case '\r':
+      out.append("\\r");
+      break;
+    case '\t':
+      out.append("\\t");
+      break;
+    case '\b':
+      out.append("\\b");
+      break;
+    case '\f':
+      out.append("\\f");
+      break;
+    default: {
+      const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                              kHex[c & 0xf]};
+      out.append(escaped, sizeof escaped);
     }
   }
+}
+
+}  // namespace
+
+void json_escape(std::string_view s, std::string& out) {
+  out.push_back('"');
+  // Bytes that need no escaping are appended a whole run at a time, and
+  // a run is scanned eight bytes per step until a word holds a byte to
+  // rewrite.
+  std::size_t run = 0;  // first byte not yet appended
+  std::size_t i = 0;
+  while (i < s.size()) {
+    if (i + sizeof(std::uint64_t) <= s.size()) {
+      std::uint64_t word;
+      std::memcpy(&word, s.data() + i, sizeof word);
+      if (!any_escapable(word)) {
+        i += sizeof word;
+        continue;
+      }
+    }
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      ++i;
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    append_escaped(c, out);
+    run = ++i;
+  }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 

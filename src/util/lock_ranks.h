@@ -46,7 +46,7 @@ inline constexpr int kStoreIndexSpecs = 42;     // LabeledStore::specs_mutex_
 inline constexpr int kStoreShard = 44;          // LabeledStore Shard::mutex ×16
 
 // -- The DIFC reference monitor and its label plane. Leaf-ward of the OS
-// -- services and the store: shards check labels under their shard lock,
+// -- services and the store: shards charge the kernel under their lock,
 // -- UserDirectory mints tags under its directory lock, FileSystem raises
 // -- secrecy under its tree lock — so the kernel ranks ABOVE all of them,
 // -- and the tag registry it consults under its own lock ranks higher

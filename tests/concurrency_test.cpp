@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "difc/flow.h"
 #include "difc/label_table.h"
 #include "difc/tag_registry.h"
+#include "store/labeled_store.h"
+#include "util/rng.h"
 
 namespace w5 {
 namespace {
@@ -164,6 +167,110 @@ TEST_F(ProviderConcurrencyTest, MixedWorkloadNoLostUpdatesTornReadsOrLeaks) {
   // the audit trail as an allowed export of alice's secret to bob.
   const auto events = provider_.audit().events();
   EXPECT_FALSE(events.empty());
+}
+
+// ---- Cursor paging against writers -------------------------------------------
+
+// Readers page one owner's records by cursor through a cleared process
+// while writers swap in new versions, remove keys and re-create them. The
+// shards publish immutable versions, so a reader that copies a row after
+// the shard lock drops still sees one put's fields, never a blend.
+TEST(StoreConcurrencyTest, CursorPagesSeeWholeRowsWhileWritersSwapVersions) {
+  constexpr int kKeys = 120;
+  constexpr std::size_t kLimit = 7;
+  constexpr int kWrites = 1500;
+  os::Kernel kernel;
+  util::WallClock clock;
+  store::LabeledStore store(kernel, clock);
+  const difc::Tag mine =
+      kernel.create_tag(os::kKernelPid, "sec(owner)", difc::TagPurpose::kSecrecy)
+          .value();
+  const difc::Tag theirs =
+      kernel.create_tag(os::kKernelPid, "sec(other)", difc::TagPurpose::kSecrecy)
+          .value();
+  const auto record = [](const std::string& id, const std::string& owner,
+                         difc::Tag tag, int value) {
+    store::Record r;
+    r.collection = "photos";
+    r.id = id;
+    r.owner = owner;
+    r.labels = difc::ObjectLabels{difc::Label{tag}, {}};
+    r.data["a"] = value;
+    r.data["b"] = value;
+    return r;
+  };
+  const auto key = [](int i) {
+    char id[8];
+    std::snprintf(id, sizeof id, "k%03d", i);
+    return std::string(id);
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store.put(os::kKernelPid, record(key(i), "owner", mine, 0)).ok());
+    // Another owner's rows interleave in the same shards, above the
+    // readers' clearance.
+    ASSERT_TRUE(
+        store.put(os::kKernelPid, record(key(i) + "x", "other", theirs, 0)).ok());
+  }
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> writers_left{2};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      util::Rng rng(static_cast<std::uint64_t>(70 + w));
+      for (int n = 1; n <= kWrites; ++n) {
+        const std::string id = key(static_cast<int>(rng.next_below(kKeys)));
+        if (w == 0) {
+          EXPECT_TRUE(store.put(os::kKernelPid, record(id, "owner", mine, n)).ok());
+        } else {
+          // Remove and re-create: the key vanishes, then returns at
+          // version 1 with fresh fields.
+          (void)store.remove(os::kKernelPid, "photos", id);
+          EXPECT_TRUE(
+              store.put(os::kKernelPid, record(id, "owner", mine, -n)).ok());
+        }
+      }
+      if (writers_left.fetch_sub(1) == 1) writing.store(false);
+    });
+  }
+  for (int r = 0; r < 4; ++r) {
+    threads.emplace_back([&] {
+      const os::Pid reader = kernel.spawn_trusted(
+          "reader", difc::LabelState({}, {},
+                                     difc::CapabilitySet{difc::plus(mine)}));
+      int traversals = 0;
+      while (writing.load() || traversals < 2) {
+        std::string cursor;
+        std::string last;
+        do {
+          store::QueryOptions options;
+          options.owner = "owner";
+          options.limit = kLimit;
+          options.cursor = cursor;
+          auto page = store.query_page(reader, "photos", options);
+          ASSERT_TRUE(page.ok()) << page.error().code;
+          ASSERT_LE(page.value().records.size(), kLimit);
+          for (const store::Record& row : page.value().records) {
+            EXPECT_EQ(row.owner, "owner");
+            EXPECT_EQ(row.data.at("a").as_int(), row.data.at("b").as_int())
+                << "torn row " << row.id;
+            EXPECT_LT(last, row.id) << "keys must strictly ascend";
+            last = row.id;
+          }
+          cursor = page.value().next_cursor;
+        } while (!cursor.empty());
+        ++traversals;
+      }
+      (void)kernel.exit(reader);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // Every key survives its last re-create.
+  store::QueryOptions all;
+  all.owner = "owner";
+  auto final_rows = store.query(os::kKernelPid, "photos", all);
+  ASSERT_TRUE(final_rows.ok());
+  EXPECT_EQ(final_rows.value().size(), static_cast<std::size_t>(kKeys));
 }
 
 // ---- Flow-memo epoch invalidation -------------------------------------------

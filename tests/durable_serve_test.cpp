@@ -5,7 +5,8 @@
 // cut at WAL frame boundaries never loses an acknowledged put, a failing
 // log answers 503 and never acknowledges again, pipelined requests behind
 // a parked put keep their order, a client that hangs up mid-put leaves the
-// loop serving the rest, and /trace/:id names the parked time.
+// loop serving the rest, /metrics and /trace/:id count the answer the client
+// got, and /trace/:id names the parked time.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -294,6 +295,56 @@ TEST(DurableServeTest, FailedLogAnswers503AndNeverAcknowledgesAgain) {
                            [&](const auto& note) { return note.first == id; }),
               notes.end())
         << "acknowledged put " << id << " was lost";
+  }
+}
+
+TEST(DurableServeTest, FailedParkedPutCountsAndTracesThe503ItAnswers) {
+  // One client, so the put whose frame the injected error tears is parked
+  // when the log fails: its handler said 201, the client gets 503, and
+  // /metrics and /trace/:id must say what the client got.
+  ScratchDir dir("count");
+  const net::FileFaultPlan fault = net::FileFaultPlan::error_at(6000);
+  DurableServer server(dir.path(), fault);
+  util::MetricsRegistry& metrics = server.provider().metrics();
+  const util::Counter& ok = metrics.counter("w5_responses_total{class=\"2xx\"}");
+  const util::Counter& failed =
+      metrics.counter("w5_responses_total{class=\"5xx\"}");
+  const std::uint64_t ok_before = ok.value();
+  const std::uint64_t failed_before = failed.value();
+
+  auto connection = net::tcp_connect(server.port());
+  ASSERT_TRUE(connection.ok());
+  net::HttpClient http;
+  std::uint64_t ok_seen = 0;
+  std::vector<std::string> failed_traces;
+  for (int i = 0; i < 60; ++i) {
+    const std::string id = note_id(0, i);
+    HttpRequest request = make_request(Method::kPost, "/data/notes/" + id,
+                                       server.cookie(), note_body(id));
+    const std::string trace_id = "count-" + std::to_string(i);
+    request.headers.set("X-W5-Trace", trace_id);
+    auto response = http.roundtrip(*connection.value(), request);
+    ASSERT_TRUE(response.ok()) << response.error().code;
+    if (response.value().status == 201) {
+      ++ok_seen;
+    } else {
+      ASSERT_EQ(response.value().status, 503);
+      failed_traces.push_back(trace_id);
+    }
+  }
+  EXPECT_TRUE(fault.write_errored());
+  ASSERT_GT(ok_seen, 0u);
+  ASSERT_FALSE(failed_traces.empty());
+  if constexpr (util::kTelemetryEnabled) {
+    EXPECT_EQ(ok.value() - ok_before, ok_seen);
+    EXPECT_EQ(failed.value() - failed_before, failed_traces.size());
+  }
+  for (const std::string& trace_id : failed_traces) {
+    const HttpResponse trace =
+        server.provider().http(Method::kGet, "/trace/" + trace_id);
+    ASSERT_EQ(trace.status, 200) << trace_id;
+    EXPECT_EQ(util::Json::parse(trace.body).value().at("status").as_int(), 503)
+        << trace_id;
   }
 }
 

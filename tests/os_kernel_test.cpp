@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "os/kernel.h"
+#include "util/rng.h"
 
 namespace w5::os {
 namespace {
@@ -150,6 +155,39 @@ TEST(KernelTest, EffectiveStateOfKernelOwnsEverything) {
   ASSERT_TRUE(state.ok());
   EXPECT_TRUE(state.value().owned().has_dual(a.value()));
   EXPECT_TRUE(state.value().owned().has_dual(b.value()));
+}
+
+TEST(KernelTest, KernelAuthorityMatchesPerTagDualBuild) {
+  // Many tags created in shuffled order: the registry hands them back in
+  // hash order, and the kernel's set must still be exactly dual privilege
+  // over every registered tag.
+  Kernel kernel;
+  std::vector<int> order(300);
+  for (int i = 0; i < 300; ++i) order[static_cast<std::size_t>(i)] = i;
+  util::Rng rng(9);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  for (const int i : order) {
+    kernel.tags().create("t" + std::to_string(i), i % 3 == 0
+                                                      ? TagPurpose::kIntegrity
+                                                      : TagPurpose::kSecrecy);
+  }
+  CapabilitySet reference;
+  for (const Tag tag : kernel.tags().all()) reference.add_dual(tag);
+
+  auto state = kernel.effective_state(kKernelPid);
+  ASSERT_TRUE(state.ok());
+  const CapabilitySet& owned = state.value().owned();
+  EXPECT_EQ(owned, reference);
+  EXPECT_EQ(owned.size(), 2 * kernel.tags().size());
+  for (const Tag tag : kernel.tags().all()) EXPECT_TRUE(owned.has_dual(tag));
+  EXPECT_TRUE(std::is_sorted(owned.capabilities().begin(),
+                             owned.capabilities().end()));
+  // Nothing beyond the registry: a tag the registry never minted.
+  const Tag unknown = kernel.tags().create("late", TagPurpose::kSecrecy);
+  EXPECT_FALSE(owned.has_plus(unknown));
+  EXPECT_FALSE(owned.has_minus(unknown));
+  EXPECT_EQ(state.value().secrecy_clearance(), reference.addable());
 }
 
 TEST(KernelTest, ChargeKillsOverQuotaProcess) {

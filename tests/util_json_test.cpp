@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <ostream>
+#include <string>
 
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace w5::util {
 namespace {
@@ -158,6 +161,80 @@ TEST(JsonTest, EqualityIsStructural) {
   EXPECT_EQ(Json::parse(R"({"a":1,"b":[true]})").value(),
             Json::parse(R"({ "b" : [ true ] , "a" : 1 })").value());
   EXPECT_NE(Json(1), Json("1"));
+}
+
+// json_escape as it was written first, one byte at a time: the reference
+// the run-append escape must match byte for byte.
+std::string escape_per_byte(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      case '\b': out.append("\\b"); break;
+      case '\f': out.append("\\f"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out.append(buf);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+void expect_escape_matches(const std::string& s) {
+  std::string escaped = "prefix";  // json_escape appends
+  json_escape(s, escaped);
+  ASSERT_EQ(escaped, "prefix" + escape_per_byte(s));
+  const Json value(s);
+  auto parsed = Json::parse(value.dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().as_string(), s);
+}
+
+TEST(JsonEscapeDifferential, EverySingleByteMatchesThePerByteEscape) {
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(b);
+    const char c = static_cast<char>(b);
+    expect_escape_matches(std::string(1, c));
+    // At every offset of a string longer than two 8-byte words, so the
+    // byte lands in each lane of a word and in the bytewise tail.
+    for (std::size_t at = 0; at < 20; ++at) {
+      std::string s(20, 'a');
+      s[at] = c;
+      expect_escape_matches(s);
+    }
+  }
+}
+
+TEST(JsonEscapeDifferential, SeededRunsMatchThePerByteEscape) {
+  // Escapable bytes at run starts, run ends and next to each other,
+  // between plain runs of random length.
+  static constexpr char kEscapable[] = {'"', '\\', '\n', '\r', '\t', '\b',
+                                        '\f', '\x01', '\x1f', '\0'};
+  Rng rng(24);
+  for (int round = 0; round < 2000; ++round) {
+    std::string s;
+    const auto pieces = rng.next_below(8);
+    for (std::uint64_t p = 0; p < pieces; ++p) {
+      const auto plain = rng.next_below(4) == 0 ? 0 : rng.next_below(40);
+      for (std::uint64_t i = 0; i < plain; ++i)
+        s.push_back(static_cast<char>(0x20 + rng.next_below(0xe0)));
+      const auto burst = rng.next_below(4);
+      for (std::uint64_t i = 0; i < burst; ++i)
+        s.push_back(kEscapable[rng.next_below(sizeof kEscapable)]);
+    }
+    SCOPED_TRACE(round);
+    expect_escape_matches(s);
+  }
 }
 
 }  // namespace
