@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <memory>
 
 #include "apps/apps.h"
 #include "core/gateway.h"
@@ -131,6 +132,65 @@ void BM_W5BlockedRequest(benchmark::State& state) {
   if (blocked != state.iterations()) state.SkipWithError("leak!");
 }
 BENCHMARK(BM_W5BlockedRequest);
+
+// ---- Population -------------------------------------------------------------
+// The same requests at 16 and 4,096 users: a request's cost should follow
+// its own data, not the provider's size. Report-only here;
+// population_test gates the ratio.
+struct PopulationFixture {
+  w5::util::WallClock clock;
+  w5::platform::Provider provider{w5::platform::ProviderConfig{}, clock};
+  std::string alice;
+  std::string bob;
+
+  explicit PopulationFixture(int users) {
+    w5::apps::register_standard_apps(provider);
+    (void)provider.signup("alice", "password");
+    (void)provider.signup("bob", "password");
+    alice = provider.login("alice", "password").value();
+    bob = provider.login("bob", "password").value();
+    w5::platform::UserPolicy policy;
+    policy.secrecy_declassifier = "std/friends";
+    provider.policies().set("alice", std::move(policy));
+    (void)provider.http(Method::kPost, "/data/friends/alice",
+                        R"({"friends":["bob"]})", alice);
+    (void)provider.http(Method::kPost, "/data/photos/p1",
+                        R"({"title":"t","caption":"a caption"})", alice);
+    for (int i = 2; i < users; ++i)
+      (void)provider.signup("p" + std::to_string(i), "password");
+  }
+
+  // Built once per population: 4,096 signups take about a second.
+  static PopulationFixture& at(int users) {
+    static std::map<int, std::unique_ptr<PopulationFixture>> built;
+    auto& fixture = built[users];
+    if (fixture == nullptr)
+      fixture = std::make_unique<PopulationFixture>(users);
+    return *fixture;
+  }
+};
+
+void run_population(benchmark::State& state, bool as_friend) {
+  PopulationFixture& fx =
+      PopulationFixture::at(static_cast<int>(state.range(0)));
+  const HttpRequest request = make_request("/dev/photoco/photos/view?id=p1",
+                                           as_friend ? fx.bob : fx.alice);
+  for (auto _ : state) {
+    auto response = fx.provider.handle(request);
+    if (response.status != 200) state.SkipWithError("unexpected status");
+    benchmark::DoNotOptimize(response.body.size());
+  }
+}
+
+void BM_W5OwnerRequestByUsers(benchmark::State& state) {
+  run_population(state, /*as_friend=*/false);
+}
+BENCHMARK(BM_W5OwnerRequestByUsers)->Arg(16)->Arg(4096);
+
+void BM_W5FriendViewByUsers(benchmark::State& state) {
+  run_population(state, /*as_friend=*/true);
+}
+BENCHMARK(BM_W5FriendViewByUsers)->Arg(16)->Arg(4096);
 
 // Platform auth overhead in isolation: whoami round trip.
 void BM_W5SessionLookup(benchmark::State& state) {

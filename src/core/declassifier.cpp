@@ -36,10 +36,15 @@ class FriendList final : public Declassifier {
         is_friend_(request.data_owner, request.viewer)) {
       return util::ok_status();
     }
-    return util::make_error("declassify.denied",
-                            "friend-list: '" + request.viewer +
-                                "' is not a friend of '" +
-                                request.data_owner + "'");
+    // One buffer: a denial should cost no more than an allow.
+    std::string detail;
+    detail.reserve(40 + request.viewer.size() + request.data_owner.size());
+    detail.append("friend-list: '")
+        .append(request.viewer)
+        .append("' is not a friend of '")
+        .append(request.data_owner)
+        .append("'");
+    return util::make_error("declassify.denied", std::move(detail));
   }
 
  private:

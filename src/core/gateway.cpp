@@ -22,9 +22,11 @@ net::HttpResponse json_error(int status, const std::string& code) {
 }
 
 // Generic denial: deliberately free of application-controlled bytes so a
-// blocked response cannot itself smuggle data.
+// blocked response cannot itself smuggle data. A constant body: the deny
+// path should cost no more than the allow path.
 net::HttpResponse perimeter_denial() {
-  return json_error(403, "export blocked by security perimeter");
+  return net::HttpResponse::json(
+      403, R"({"error":"export blocked by security perimeter"})");
 }
 
 // Every write-ahead-log error code is "wal.*" (store/wal.cpp).
@@ -1095,12 +1097,17 @@ util::Result<difc::CapabilitySet> Gateway::authorize_export(
     ScopedSpan span("declassify", declassifier_id);
     auto verdict = declassifier->decide(export_request);
     (verdict.ok() ? declassify_allow_ : declassify_deny_)->inc();
-    provider_.audit().record(
-        AuditKind::kDeclassifierDecision, declassifier_id,
-        provider_.kernel().tags().describe(tag),
-        verdict.ok() ? "allow viewer=" + viewer
-                     : verdict.error().code + " viewer=" + viewer);
-    if (!verdict.ok()) return verdict.error();
+    // "allow viewer=…" or "<denial code> viewer=…", built in one buffer.
+    const std::string_view outcome =
+        verdict.ok() ? std::string_view("allow") : verdict.error().code;
+    std::string detail;
+    detail.reserve(outcome.size() + 8 + viewer.size());
+    detail.append(outcome).append(" viewer=").append(viewer);
+    provider_.audit().record(AuditKind::kDeclassifierDecision,
+                             declassifier_id,
+                             provider_.kernel().tags().describe(tag),
+                             std::move(detail));
+    if (!verdict.ok()) return std::move(verdict).error();
     authority.add(difc::minus(tag));
   }
   return authority;
@@ -1115,7 +1122,8 @@ net::HttpResponse Gateway::export_response(net::HttpResponse response,
   if (!authority.ok()) {
     exports_blocked_->inc();
     provider_.audit().record(AuditKind::kExportBlocked, module_id,
-                             label.to_string(), authority.error().detail);
+                             label.to_string(),
+                             std::move(authority).error().detail);
     return perimeter_denial();
   }
   // The real DIFC check, with exactly the authority the declassifiers

@@ -1,6 +1,8 @@
 #include "difc/capability.h"
 
 #include <algorithm>
+#include <mutex>
+#include <shared_mutex>
 
 namespace w5::difc {
 
@@ -61,6 +63,41 @@ Label CapabilitySet::removable() const {
   for (const auto& cap : caps_)
     if (cap.sign == CapSign::kMinus) tags.push_back(cap.tag);
   return Label(std::move(tags));
+}
+
+GlobalCapabilities::Held GlobalCapabilities::held(Tag tag) const {
+  const util::ReadLock lock(mutex_);
+  // Capabilities sort by (tag, sign) with + first, so t+ and t- sit side
+  // by side: one search finds both.
+  const std::vector<Capability>& caps = caps_.capabilities();
+  auto it = std::lower_bound(caps.begin(), caps.end(), plus(tag));
+  Held out;
+  if (it != caps.end() && *it == plus(tag)) {
+    out.plus = true;
+    ++it;
+  }
+  out.minus = it != caps.end() && *it == minus(tag);
+  return out;
+}
+
+bool GlobalCapabilities::has(Capability cap) const {
+  const util::ReadLock lock(mutex_);
+  return caps_.has(cap);
+}
+
+void GlobalCapabilities::add(Capability cap) {
+  const util::WriteLock lock(mutex_);
+  caps_.add(cap);
+}
+
+void GlobalCapabilities::clear() {
+  const util::WriteLock lock(mutex_);
+  caps_ = CapabilitySet();
+}
+
+CapabilitySet GlobalCapabilities::snapshot() const {
+  const util::ReadLock lock(mutex_);
+  return caps_;
 }
 
 std::string CapabilitySet::to_string() const {

@@ -13,6 +13,8 @@
 
 #include "difc/label.h"
 #include "difc/tag.h"
+#include "util/lock_ranks.h"
+#include "util/thread_annotations.h"
 
 namespace w5::difc {
 
@@ -67,6 +69,32 @@ class CapabilitySet {
 
  private:
   std::vector<Capability> caps_;  // sorted, unique
+};
+
+// Ô, Flume's global capability set: capabilities every process holds
+// without owning them. W5 publishes sec(u)+ for every user, so any app
+// may contaminate itself to read user data (DESIGN.md §3.1). Checks look
+// it up one tag at a time; nothing merges it into a process's own set.
+// Thread-safe: a shared lock of its own, a leaf, so a lookup never waits
+// on the kernel's process table; only publishing takes it exclusively.
+class GlobalCapabilities {
+ public:
+  // Which signs of one tag Ô holds: both answered by one lookup.
+  struct Held {
+    bool plus = false;
+    bool minus = false;
+  };
+  Held held(Tag tag) const;
+  bool has(Capability cap) const;
+
+  void add(Capability cap);
+  void clear();
+  CapabilitySet snapshot() const;
+
+ private:
+  mutable util::SharedMutex mutex_{util::lockrank::kGlobalCapabilities,
+                                   "GlobalCapabilities::mutex_"};
+  CapabilitySet caps_ W5_GUARDED_BY(mutex_);
 };
 
 }  // namespace w5::difc

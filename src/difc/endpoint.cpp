@@ -2,14 +2,14 @@
 
 namespace w5::difc {
 
-bool Endpoint::safe_for(const LabelState& owner) const {
+bool Endpoint::safe_for(const Authority& owner) const {
   return owner.change_is_safe(owner.secrecy(), secrecy_) &&
          owner.change_is_safe(owner.integrity(), integrity_);
 }
 
-util::Status Endpoint::check_send(const LabelState& owner,
+util::Status Endpoint::check_send(const Authority& owner,
                                   const Endpoint& sink,
-                                  const LabelState& sink_owner) const {
+                                  const Authority& sink_owner) const {
   if (!safe_for(owner)) {
     return util::make_error(
         "endpoint.unsafe",
@@ -30,7 +30,7 @@ util::Status Endpoint::check_send(const LabelState& owner,
   return util::ok_status();
 }
 
-util::Status Endpoint::admit(const LabelState& owner,
+util::Status Endpoint::admit(const Authority& owner,
                              const Label& message_secrecy) {
   if (message_secrecy.subset_of(secrecy_)) return util::ok_status();
   if (mode_ != Mode::kAutoRaise) {

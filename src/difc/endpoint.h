@@ -4,7 +4,8 @@
 // own labels (S_e, I_e); e is *safe* for p iff p could legally change its
 // labels to e's — so privilege in O_p can be exercised at a single channel
 // (a declassifier's export socket) without globally lowering p's label.
-// Messages between two endpoints are checked with endpoint labels.
+// Messages between two endpoints are checked with endpoint labels. Owners
+// are Authority views, so Ô counts without being merged in.
 #pragma once
 
 #include <string>
@@ -34,16 +35,16 @@ class Endpoint {
   Mode mode() const noexcept { return mode_; }
 
   // Safety: the owner could re-label itself to this endpoint's labels.
-  bool safe_for(const LabelState& owner) const;
+  bool safe_for(const Authority& owner) const;
 
   // Send from this endpoint (owned by `owner`) into a sink endpoint.
   // Returns flow.denied / endpoint.unsafe errors as appropriate.
-  util::Status check_send(const LabelState& owner, const Endpoint& sink,
-                          const LabelState& sink_owner) const;
+  util::Status check_send(const Authority& owner, const Endpoint& sink,
+                          const Authority& sink_owner) const;
 
   // Receive hook: for kAutoRaise, widens this endpoint's secrecy to admit
   // `message_secrecy` if that stays safe for `owner`.
-  util::Status admit(const LabelState& owner, const Label& message_secrecy);
+  util::Status admit(const Authority& owner, const Label& message_secrecy);
 
   std::string to_string() const;
 

@@ -12,8 +12,8 @@ FileSystem::FileSystem(Kernel& kernel)
   root_->is_directory = true;  // public, unendorsed root
 }
 
-util::Result<difc::LabelState> FileSystem::caller(Pid pid) const {
-  return kernel_.effective_state(pid);
+util::Result<difc::Authority> FileSystem::caller(Pid pid) const {
+  return kernel_.authority(pid);
 }
 
 util::Result<FileSystem::Node*> FileSystem::resolve(const std::string& path) {
@@ -50,69 +50,22 @@ util::Result<FileSystem::Node*> FileSystem::resolve_parent(
   return node;
 }
 
-namespace {
-
-// A caller holding dual privilege over a tag (t+ and t-) may access
-// t-labeled objects transparently: it could always raise, act, and
-// declassify, so refusing would add ritual without security. Likewise a
-// caller holding t+ for an integrity tag could endorse itself before
-// writing. This widens the state used for checks; the process's real
-// labels are untouched.
-difc::LabelState widen_for(const difc::LabelState& state,
-                           const difc::ObjectLabels& object) {
-  const difc::Label dual =
-      state.owned().addable().intersect_with(state.owned().removable());
-  const difc::Label secrecy =
-      state.secrecy().union_with(object.secrecy.intersect_with(dual));
-  const difc::Label integrity = state.integrity().union_with(
-      object.integrity.intersect_with(state.owned().addable()));
-  return difc::LabelState(secrecy, integrity, state.owned());
-}
-
-// Creating an object with given labels: the creator's current secrecy must
-// flow into it and the requested integrity must be one the creator can
-// vouch for (I_f ⊆ I_p).
-util::Status check_create(const difc::LabelState& state,
-                          const difc::ObjectLabels& labels) {
-  if (!state.secrecy().subset_of(labels.secrecy)) {
-    return util::make_error("flow.denied",
-                            "create: process secrecy " +
-                                state.secrecy().to_string() +
-                                " would leak into object labeled " +
-                                labels.secrecy.to_string());
-  }
-  // Integrity may be stamped up to what the creator holds or could
-  // legally endorse (owns t+ for).
-  const difc::Label endorsable =
-      state.integrity().union_with(state.owned().addable());
-  if (!labels.integrity.subset_of(endorsable)) {
-    return util::make_error(
-        "flow.denied", "create: cannot forge integrity " +
-                           labels.integrity.to_string() +
-                           " with endorsable set " + endorsable.to_string());
-  }
-  return util::ok_status();
-}
-
-}  // namespace
-
 util::Status FileSystem::mkdir(Pid pid, const std::string& path,
                                const difc::ObjectLabels& labels) {
   util::WriteLock lock(mutex_);
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   std::string leaf;
   auto parent = resolve_parent(path, &leaf);
   if (!parent.ok()) return parent.error();
   if (parent.value()->children.contains(leaf))
     return util::make_error("fs.exists", path + ": already exists");
-  if (auto status = difc::check_write(
-          widen_for(state.value(), parent.value()->labels),
-          parent.value()->labels);
+  if (auto status = who.value().check_write(parent.value()->labels);
       !status.ok()) {
     return status;
   }
-  if (auto status = check_create(state.value(), labels); !status.ok())
+  // Stamping the new node's labels is writing them.
+  if (auto status = who.value().check_write(labels); !status.ok())
     return status;
   auto node = std::make_unique<Node>();
   node->is_directory = true;
@@ -129,20 +82,19 @@ util::Status FileSystem::create(Pid pid, const std::string& path,
                                 const difc::ObjectLabels& labels,
                                 std::string content) {
   util::WriteLock lock(mutex_);
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   std::string leaf;
   auto parent = resolve_parent(path, &leaf);
   if (!parent.ok()) return parent.error();
   if (parent.value()->children.contains(leaf))
     return util::make_error("fs.exists", path + ": already exists");
-  if (auto status = difc::check_write(
-          widen_for(state.value(), parent.value()->labels),
-          parent.value()->labels);
+  if (auto status = who.value().check_write(parent.value()->labels);
       !status.ok()) {
     return status;
   }
-  if (auto status = check_create(state.value(), labels); !status.ok())
+  // Stamping the new node's labels is writing them.
+  if (auto status = who.value().check_write(labels); !status.ok())
     return status;
   if (auto charged = kernel_.charge(pid, Resource::kDisk,
                                     static_cast<std::int64_t>(content.size()));
@@ -168,22 +120,20 @@ util::Result<std::string> FileSystem::read(Pid pid, const std::string& path,
   if (!node.ok()) return node.error();
   if (node.value()->is_directory)
     return util::make_error("fs.invalid", path + ": is a directory");
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
 
   if (raise == AutoRaise::kYes &&
-      !node.value()->labels.secrecy.subset_of(state.value().secrecy())) {
+      !node.value()->labels.secrecy.subset_of(who.value().secrecy())) {
     if (auto raised =
             kernel_.raise_secrecy(pid, node.value()->labels.secrecy);
         !raised.ok()) {
       return raised.error();
     }
-    state = caller(pid);
-    if (!state.ok()) return state.error();
+    who = caller(pid);
+    if (!who.ok()) return who.error();
   }
-  if (auto status = difc::check_read(
-          widen_for(state.value(), node.value()->labels),
-          node.value()->labels);
+  if (auto status = who.value().check_read(node.value()->labels);
       !status.ok()) {
     return status.error();
   }
@@ -197,11 +147,9 @@ util::Status FileSystem::write(Pid pid, const std::string& path,
   if (!node.ok()) return node.error();
   if (node.value()->is_directory)
     return util::make_error("fs.invalid", path + ": is a directory");
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
-  if (auto status = difc::check_write(
-          widen_for(state.value(), node.value()->labels),
-          node.value()->labels);
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
+  if (auto status = who.value().check_write(node.value()->labels);
       !status.ok()) {
     return status;
   }
@@ -227,11 +175,9 @@ util::Status FileSystem::append(Pid pid, const std::string& path,
   if (!node.ok()) return node.error();
   if (node.value()->is_directory)
     return util::make_error("fs.invalid", path + ": is a directory");
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
-  if (auto status = difc::check_write(
-          widen_for(state.value(), node.value()->labels),
-          node.value()->labels);
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
+  if (auto status = who.value().check_write(node.value()->labels);
       !status.ok()) {
     return status;
   }
@@ -249,8 +195,8 @@ util::Status FileSystem::append(Pid pid, const std::string& path,
 
 util::Status FileSystem::unlink(Pid pid, const std::string& path) {
   util::WriteLock lock(mutex_);
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   std::string leaf;
   auto parent = resolve_parent(path, &leaf);
   if (!parent.ok()) return parent.error();
@@ -258,14 +204,11 @@ util::Status FileSystem::unlink(Pid pid, const std::string& path) {
   if (it == parent.value()->children.end())
     return util::make_error("fs.not_found", path + ": no such entry");
   // Deleting is a write to both the entry and its parent directory.
-  if (auto status = difc::check_write(
-          widen_for(state.value(), parent.value()->labels),
-          parent.value()->labels);
+  if (auto status = who.value().check_write(parent.value()->labels);
       !status.ok()) {
     return status;
   }
-  if (auto status = difc::check_write(
-          widen_for(state.value(), it->second->labels), it->second->labels);
+  if (auto status = who.value().check_write(it->second->labels);
       !status.ok()) {
     return status;
   }
@@ -285,17 +228,16 @@ util::Result<std::vector<std::string>> FileSystem::list(
   if (!node.ok()) return node.error();
   if (!node.value()->is_directory)
     return util::make_error("fs.invalid", path + ": not a directory");
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
-  if (auto status = difc::check_read(state.value(), node.value()->labels);
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
+  if (auto status = who.value().check_read(node.value()->labels);
       !status.ok()) {
     return status.error();
   }
-  const difc::Label clearance = state.value().secrecy_clearance();
   std::vector<std::string> names;
   for (const auto& [name, child] : node.value()->children) {
     // Invisible rather than denied: existence must not leak (§3.5).
-    if (child->labels.secrecy.subset_of(clearance)) names.push_back(name);
+    if (who.value().can_see(child->labels.secrecy)) names.push_back(name);
   }
   return names;
 }
@@ -304,11 +246,10 @@ util::Result<FileStat> FileSystem::stat(Pid pid, const std::string& path) {
   const util::ReadLock lock(mutex_);
   auto node = resolve(path);
   if (!node.ok()) return node.error();
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   // Stat reveals existence + size: same visibility rule as list().
-  if (!node.value()->labels.secrecy.subset_of(
-          state.value().secrecy_clearance())) {
+  if (!who.value().can_see(node.value()->labels.secrecy)) {
     return util::make_error("fs.not_found", path + ": no such entry");
   }
   return FileStat{node.value()->is_directory, node.value()->content.size(),
@@ -320,20 +261,18 @@ util::Status FileSystem::relabel(Pid pid, const std::string& path,
   util::WriteLock lock(mutex_);
   auto node = resolve(path);
   if (!node.ok()) return node.error();
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
-  if (auto status = difc::check_write(
-          widen_for(state.value(), node.value()->labels),
-          node.value()->labels);
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
+  if (auto status = who.value().check_write(node.value()->labels);
       !status.ok()) {
     return status;
   }
   // Relabeling is a declassification/endorsement: the caller must be able
   // to make both deltas as if they were label changes of its own.
-  if (!state.value().change_is_safe(node.value()->labels.secrecy,
-                                    labels.secrecy) ||
-      !state.value().change_is_safe(node.value()->labels.integrity,
-                                    labels.integrity)) {
+  if (!who.value().change_is_safe(node.value()->labels.secrecy,
+                                  labels.secrecy) ||
+      !who.value().change_is_safe(node.value()->labels.integrity,
+                                  labels.integrity)) {
     return util::make_error("flow.denied",
                             "relabel: insufficient authority over delta");
   }

@@ -3,9 +3,10 @@
 // write-protected").
 //
 // A hierarchical tree of directories and files, each carrying
-// ObjectLabels. Reads and writes are checked against the calling
-// process's effective label state; directory listings are filtered to the
-// caller's clearance so file *names* cannot become a covert channel.
+// ObjectLabels. Reads and writes are checked against the caller's
+// authority (difc::Authority, the same rules as the labeled store);
+// directory listings are filtered to the caller's clearance so file
+// *names* cannot become a covert channel.
 #pragma once
 
 #include <map>
@@ -115,7 +116,7 @@ class FileSystem {
   util::Result<Node*> resolve_parent(const std::string& path,
                                      std::string* leaf)
       W5_REQUIRES_SHARED(mutex_);
-  util::Result<difc::LabelState> caller(Pid pid) const;
+  util::Result<difc::Authority> caller(Pid pid) const;
 
   static util::Json node_to_json(const Node& node);
   static util::Result<std::unique_ptr<Node>> node_from_json(

@@ -18,15 +18,15 @@ IpcBus::Side& IpcBus::side_for(Channel& ch, Pid pid, bool peer) {
 
 util::Result<ChannelId> IpcBus::connect(Pid a, difc::Endpoint endpoint_a,
                                         Pid b, difc::Endpoint endpoint_b) {
-  auto state_a = kernel_.effective_state(a);
-  if (!state_a.ok()) return state_a.error();
-  auto state_b = kernel_.effective_state(b);
-  if (!state_b.ok()) return state_b.error();
-  if (!endpoint_a.safe_for(state_a.value())) {
+  auto who_a = kernel_.authority(a);
+  if (!who_a.ok()) return who_a.error();
+  auto who_b = kernel_.authority(b);
+  if (!who_b.ok()) return who_b.error();
+  if (!endpoint_a.safe_for(who_a.value())) {
     return util::make_error("endpoint.unsafe",
                             "endpoint unsafe for pid " + std::to_string(a));
   }
-  if (!endpoint_b.safe_for(state_b.value())) {
+  if (!endpoint_b.safe_for(who_b.value())) {
     return util::make_error("endpoint.unsafe",
                             "endpoint unsafe for pid " + std::to_string(b));
   }
@@ -37,17 +37,17 @@ util::Result<ChannelId> IpcBus::connect(Pid a, difc::Endpoint endpoint_a,
 }
 
 util::Result<ChannelId> IpcBus::connect_default(Pid a, Pid b) {
-  auto state_a = kernel_.effective_state(a);
-  if (!state_a.ok()) return state_a.error();
-  auto state_b = kernel_.effective_state(b);
-  if (!state_b.ok()) return state_b.error();
+  auto who_a = kernel_.authority(a);
+  if (!who_a.ok()) return who_a.error();
+  auto who_b = kernel_.authority(b);
+  if (!who_b.ok()) return who_b.error();
   return connect(a,
-                 difc::Endpoint(state_a.value().secrecy(),
-                                state_a.value().integrity(),
+                 difc::Endpoint(who_a.value().secrecy(),
+                                who_a.value().integrity(),
                                 difc::Endpoint::Mode::kAutoRaise),
                  b,
-                 difc::Endpoint(state_b.value().secrecy(),
-                                state_b.value().integrity(),
+                 difc::Endpoint(who_b.value().secrecy(),
+                                who_b.value().integrity(),
                                 difc::Endpoint::Mode::kAutoRaise));
 }
 
@@ -61,28 +61,28 @@ util::Status IpcBus::send(Pid sender, ChannelId channel,
   Side& src = side_for(*ch.value(), sender, /*peer=*/false);
   Side& dst = side_for(*ch.value(), sender, /*peer=*/true);
 
-  auto src_state = kernel_.effective_state(src.pid);
-  if (!src_state.ok()) return src_state.error();
-  auto dst_state = kernel_.effective_state(dst.pid);
-  if (!dst_state.ok()) return dst_state.error();
+  auto src_who = kernel_.authority(src.pid);
+  if (!src_who.ok()) return src_who.error();
+  auto dst_who = kernel_.authority(dst.pid);
+  if (!dst_who.ok()) return dst_who.error();
 
   // A stale auto-raise endpoint floats up to the sender's current labels.
   // Fixed endpoints stay put on purpose: a declassifier's clean endpoint
   // must NOT be widened — check_send's safe_for() verifies the owner's
   // minus-capabilities justify the gap instead.
   if (src.endpoint.mode() == difc::Endpoint::Mode::kAutoRaise) {
-    (void)src.endpoint.admit(src_state.value(), src_state.value().secrecy());
+    (void)src.endpoint.admit(src_who.value(), src_who.value().secrecy());
   }
 
   // Receiver endpoint floats up if it may.
   if (auto admitted =
-          dst.endpoint.admit(dst_state.value(), src.endpoint.secrecy());
+          dst.endpoint.admit(dst_who.value(), src.endpoint.secrecy());
       !admitted.ok()) {
     return admitted;
   }
 
-  if (auto status = src.endpoint.check_send(src_state.value(), dst.endpoint,
-                                            dst_state.value());
+  if (auto status = src.endpoint.check_send(src_who.value(), dst.endpoint,
+                                            dst_who.value());
       !status.ok()) {
     return status;
   }
@@ -102,12 +102,12 @@ util::Result<Message> IpcBus::receive(Pid receiver, ChannelId channel) {
   if (self.inbox.empty())
     return util::make_error("ipc.empty", "no pending messages");
 
-  auto state = kernel_.effective_state(receiver);
-  if (!state.ok()) return state.error();
+  auto who = kernel_.authority(receiver);
+  if (!who.ok()) return who.error();
 
   Message& msg = self.inbox.front();
   // Delivery contaminates: the process label must dominate the message.
-  if (!msg.secrecy.subset_of(state.value().secrecy())) {
+  if (!msg.secrecy.subset_of(who.value().secrecy())) {
     if (self.endpoint.mode() != difc::Endpoint::Mode::kAutoRaise) {
       return util::make_error("flow.denied",
                               "message secrecy " + msg.secrecy.to_string() +

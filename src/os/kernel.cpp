@@ -27,20 +27,11 @@ util::Result<const Process*> Kernel::live_process(Pid pid) const {
   return &it->second;
 }
 
-difc::CapabilitySet Kernel::global_caps() const {
-  const util::ReadLock lock(mutex_);
-  return global_caps_;
-}
-
 void Kernel::add_global_capability(difc::Capability cap) {
-  const util::WriteLock lock(mutex_);
   global_caps_.add(cap);
 }
 
-void Kernel::clear_global_capabilities() {
-  const util::WriteLock lock(mutex_);
-  global_caps_ = difc::CapabilitySet();
-}
+void Kernel::clear_global_capabilities() { global_caps_.clear(); }
 
 Pid Kernel::spawn_trusted(std::string name, difc::LabelState initial,
                           ResourceContainer* container) {
@@ -62,16 +53,12 @@ util::Result<Pid> Kernel::spawn(Pid parent, std::string name,
   const util::WriteLock lock(mutex_);
   auto parent_proc = live_process(parent);
   if (!parent_proc.ok()) return parent_proc.error();
-  difc::CapabilitySet merged = parent_proc.value()->labels.owned();
-  merged.merge(global_caps_);
-  const difc::LabelState parent_state(parent_proc.value()->labels.secrecy(),
-                                      parent_proc.value()->labels.integrity(),
-                                      std::move(merged));
+  const difc::LabelState& parent_state = parent_proc.value()->labels;
 
   // The child's labels must be reachable from the parent's under the
   // parent's authority (otherwise spawn launders labels).
-  if (!parent_state.change_is_safe(parent_state.secrecy(),
-                                   initial.secrecy())) {
+  if (!parent_state.change_is_safe(parent_state.secrecy(), initial.secrecy(),
+                                   &global_caps_)) {
     return util::make_error("flow.denied",
                             "spawn: child secrecy " +
                                 initial.secrecy().to_string() +
@@ -79,14 +66,13 @@ util::Result<Pid> Kernel::spawn(Pid parent, std::string name,
                                 parent_state.secrecy().to_string());
   }
   if (!parent_state.change_is_safe(parent_state.integrity(),
-                                   initial.integrity())) {
+                                   initial.integrity(), &global_caps_)) {
     return util::make_error("flow.denied",
                             "spawn: child integrity unreachable from parent");
   }
-  // Capabilities: the child may hold only what the parent holds
-  // (non-global caps must come from the parent's own set).
+  // Capabilities: the child may hold only what the parent owns or Ô holds.
   for (const auto& cap : initial.owned().capabilities()) {
-    if (!parent_state.owned().has(cap)) {
+    if (!parent_state.holds(cap, &global_caps_)) {
       return util::make_error(
           "cap.denied", "spawn: parent lacks " + difc::to_string(cap));
     }
@@ -150,60 +136,30 @@ std::size_t Kernel::process_table_size() const {
   return processes_.size();
 }
 
-util::Result<difc::LabelState> Kernel::effective_state(Pid pid) const {
-  if (pid == kKernelPid) {
-    // The kernel itself is omnipotent over all existing tags: model as a
-    // state owning dual privilege for every registered tag. The registry
-    // yields tags in hash order, so collect both signs and sort once.
-    const std::vector<difc::Tag> tags = tags_.all();
-    std::vector<difc::Capability> caps;
-    caps.reserve(2 * tags.size());
-    for (const difc::Tag tag : tags) {
-      caps.push_back(difc::plus(tag));
-      caps.push_back(difc::minus(tag));
-    }
-    return difc::LabelState({}, {}, difc::CapabilitySet(std::move(caps)));
-  }
+util::Result<difc::Authority> Kernel::authority(Pid pid) const {
+  if (pid == kKernelPid) return difc::Authority::kernel();
   const util::ReadLock lock(mutex_);
   auto proc = live_process(pid);
   if (!proc.ok()) return proc.error();
-  difc::CapabilitySet merged = proc.value()->labels.owned();
-  merged.merge(global_caps_);
-  return difc::LabelState(proc.value()->labels.secrecy(),
-                          proc.value()->labels.integrity(),
-                          std::move(merged));
+  return difc::Authority(proc.value()->labels, &global_caps_);
 }
 
 util::Status Kernel::set_secrecy(Pid pid, const difc::Label& to) {
-  // The kernel holds dual privilege over every tag; its label is pinned
-  // at {} and label changes are vacuous.
+  // The kernel passes every label-change check; its label is pinned at
+  // {} and label changes are vacuous.
   if (pid == kKernelPid) return util::ok_status();
   const util::WriteLock lock(mutex_);
   auto proc = live_process(pid);
   if (!proc.ok()) return proc.error();
-  difc::CapabilitySet merged = proc.value()->labels.owned();
-  merged.merge(global_caps_);
-  difc::LabelState state(proc.value()->labels.secrecy(),
-                         proc.value()->labels.integrity(), std::move(merged));
-  if (auto status = state.set_secrecy(to); !status.ok()) return status;
-  // The effective-state check (own caps ∪ Ô) is the authority; apply.
-  proc.value()->labels = difc::LabelState(to, proc.value()->labels.integrity(),
-                                          proc.value()->labels.owned());
-  return util::ok_status();
+  return proc.value()->labels.set_secrecy(to, &global_caps_);
 }
 
 util::Status Kernel::raise_secrecy(Pid pid, const difc::Label& tags) {
   if (pid == kKernelPid) return util::ok_status();
-  difc::Label current;
-  {
-    const util::ReadLock lock(mutex_);
-    auto proc = live_process(pid);
-    if (!proc.ok()) return proc.error();
-    current = proc.value()->labels.secrecy();
-  }
-  // Only this request's thread changes its own labels, so the fetch +
-  // set pair cannot race with another raise on the same pid.
-  return set_secrecy(pid, current.union_with(tags));
+  const util::WriteLock lock(mutex_);
+  auto proc = live_process(pid);
+  if (!proc.ok()) return proc.error();
+  return proc.value()->labels.raise_secrecy(tags, &global_caps_);
 }
 
 util::Status Kernel::set_integrity(Pid pid, const difc::Label& to) {
@@ -211,14 +167,7 @@ util::Status Kernel::set_integrity(Pid pid, const difc::Label& to) {
   const util::WriteLock lock(mutex_);
   auto proc = live_process(pid);
   if (!proc.ok()) return proc.error();
-  difc::CapabilitySet merged = proc.value()->labels.owned();
-  merged.merge(global_caps_);
-  difc::LabelState state(proc.value()->labels.secrecy(),
-                         proc.value()->labels.integrity(), std::move(merged));
-  if (auto status = state.set_integrity(to); !status.ok()) return status;
-  proc.value()->labels = difc::LabelState(proc.value()->labels.secrecy(), to,
-                                          proc.value()->labels.owned());
-  return util::ok_status();
+  return proc.value()->labels.set_integrity(to, &global_caps_);
 }
 
 util::Result<difc::Tag> Kernel::create_tag(Pid creator, std::string name,

@@ -2,10 +2,11 @@
 // capability movement (DESIGN.md §3.1, after Flume's reference monitor).
 //
 // Everything developer code can do flows through a Kernel method taking
-// the caller's Pid; the kernel consults the process's label state merged
-// with the global capability set Ô (capabilities every process holds —
-// e.g. t+ for user secrecy tags, so any app may *contaminate itself* to
-// read user data, while t- stays with declassifiers).
+// the caller's Pid; the kernel checks the process's own label state and
+// looks up the global capability set Ô per tag (capabilities every
+// process holds — e.g. t+ for user secrecy tags, so any app may
+// *contaminate itself* to read user data, while t- stays with
+// declassifiers). The kernel pid's authority is a flag, not a set.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ class Kernel {
   const difc::TagRegistry& tags() const noexcept { return tags_; }
 
   // --- Global capability set Ô -------------------------------------------
-  difc::CapabilitySet global_caps() const;
+  difc::CapabilitySet global_caps() const { return global_caps_.snapshot(); }
   void add_global_capability(difc::Capability cap);
   // Snapshot restore only: tag ids are reused across restores, so stale
   // global capabilities from the pre-restore world could silently grant
@@ -48,21 +49,24 @@ class Kernel {
   // Trusted spawn: only callable with parent == kKernelPid semantics (the
   // provider's own code); no capability checks on the initial state.
   // Thread-safety: the kernel is shared by every request worker. The
-  // process table and global state take a shared_mutex — exclusive for
-  // any mutation (spawn/kill/exit/reap, label changes, capability moves),
-  // shared for lookups. Process* returned by find() stays valid until
-  // reap() (the table is node-based); a process's fields are only ever
-  // written under the exclusive lock, so cross-thread readers holding the
-  // shared lock are safe. Lock order: callers may hold a store-shard or
-  // filesystem lock when entering the kernel; the kernel itself only
-  // acquires container and tag-registry locks — never a caller's.
+  // process table takes a shared_mutex — exclusive for any mutation
+  // (spawn/kill/exit/reap, label changes, capability moves), shared for
+  // lookups. Ô has a leaf lock of its own (GlobalCapabilities), so its
+  // lookups never wait on the table. Process* returned by find() stays
+  // valid until reap() (the table is node-based); a process's fields are
+  // only ever written under the exclusive lock, so cross-thread readers
+  // holding the shared lock are safe. Lock order: callers may hold a
+  // store-shard or filesystem lock when entering the kernel; the kernel
+  // itself only acquires container, tag-registry and Ô locks — never a
+  // caller's.
   Pid spawn_trusted(std::string name, difc::LabelState initial,
                     ResourceContainer* container = nullptr);
 
   // App-initiated spawn (paper: apps may invoke other modules). The child
-  // may receive only capabilities the parent owns, and its initial labels
-  // must be reachable from the parent's labels under the parent's
-  // authority — otherwise spawn would be a label-laundering primitive.
+  // may receive only capabilities the parent owns or Ô holds, and its
+  // initial labels must be reachable from the parent's labels under the
+  // parent's authority — otherwise spawn would be a label-laundering
+  // primitive.
   util::Result<Pid> spawn(Pid parent, std::string name,
                           const difc::LabelState& initial,
                           ResourceContainer* container = nullptr);
@@ -78,10 +82,13 @@ class Kernel {
   std::size_t process_table_size() const;
 
   // --- Labels and capabilities --------------------------------------------
-  // Effective state = process state with Ô merged into O. This is what
-  // every check uses.
-  util::Result<difc::LabelState> effective_state(Pid pid) const;
+  // The view every check runs against: the kernel pid's flag, or a copy
+  // of the live process's own (S, I, O) with Ô looked up per tag. O(|O|),
+  // never O(users) or O(tags).
+  util::Result<difc::Authority> authority(Pid pid) const;
 
+  // Label changes under the process's own capabilities and Ô; each is
+  // one check-and-set under the exclusive lock.
   util::Status set_secrecy(Pid pid, const difc::Label& to);
   util::Status raise_secrecy(Pid pid, const difc::Label& tags);
   util::Status set_integrity(Pid pid, const difc::Label& to);
@@ -109,7 +116,7 @@ class Kernel {
 
   mutable util::SharedMutex mutex_{util::lockrank::kKernel, "Kernel::mutex_"};
   difc::TagRegistry tags_;  // internally synchronized
-  difc::CapabilitySet global_caps_ W5_GUARDED_BY(mutex_);
+  difc::GlobalCapabilities global_caps_;  // internally synchronized
   std::unordered_map<Pid, Process> processes_ W5_GUARDED_BY(mutex_);
   Pid next_pid_ W5_GUARDED_BY(mutex_) = 1;
 };

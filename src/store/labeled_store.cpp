@@ -8,19 +8,6 @@ namespace w5::store {
 
 namespace {
 
-// Same widening rule as the filesystem: dual privilege reads/writes
-// transparently; t+ endorses implicitly (see os/filesystem.cpp).
-difc::LabelState widen_for(const difc::LabelState& state,
-                           const difc::ObjectLabels& object) {
-  const difc::Label dual =
-      state.owned().addable().intersect_with(state.owned().removable());
-  const difc::Label secrecy =
-      state.secrecy().union_with(object.secrecy.intersect_with(dual));
-  const difc::Label integrity = state.integrity().union_with(
-      object.integrity.intersect_with(state.owned().addable()));
-  return difc::LabelState(secrecy, integrity, state.owned());
-}
-
 util::Error not_found(const std::string& collection, const std::string& id) {
   return util::make_error("store.not_found", collection + "/" + id);
 }
@@ -44,13 +31,24 @@ std::size_t LabeledStore::shard_index(const Key& key) {
   return (h1 * 31 + h2) % kShardCount;
 }
 
-util::Result<difc::LabelState> LabeledStore::caller(os::Pid pid) const {
-  return kernel_.effective_state(pid);
+util::Result<difc::Authority> LabeledStore::caller(os::Pid pid) const {
+  return kernel_.authority(pid);
 }
 
-bool LabeledStore::visible(const Record& record,
-                           const difc::Label& clearance) {
-  return record.labels.secrecy.subset_of(clearance);
+bool LabeledStore::ScanBound::admits(const difc::Label& secrecy) {
+  if (secrecy.subset_of(who_.secrecy())) return true;
+  if (raise_ == Raise::kNo) return false;
+  if (who_.is_kernel()) return true;
+  const std::vector<difc::Tag>& tags = secrecy.tags();
+  if (tags.size() == last_size_ &&
+      std::equal(tags.begin(), tags.end(), last_.begin()))
+    return true;
+  if (!who_.can_see(secrecy)) return false;
+  if (tags.size() <= last_.size()) {
+    std::copy(tags.begin(), tags.end(), last_.begin());
+    last_size_ = tags.size();
+  }
+  return true;
 }
 
 std::vector<IndexSpec> LabeledStore::specs_snapshot() const {
@@ -65,8 +63,8 @@ std::vector<IndexSpec> LabeledStore::index_specs() const {
 util::Status LabeledStore::put(os::Pid pid, Record record) {
   if (record.collection.empty() || record.id.empty())
     return util::make_error("store.invalid", "collection and id required");
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   // Lock order: spec lock strictly before any shard lock.
   const std::vector<IndexSpec> specs = specs_snapshot();
 
@@ -77,21 +75,10 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
   util::WriteLock lock(shard.mutex);
   const auto it = shard.records.find(key);
   if (it == shard.records.end()) {
-    // Create: no leak into the record, no forged endorsement.
-    if (!state.value().secrecy().subset_of(record.labels.secrecy)) {
-      return util::make_error(
-          "flow.denied", "put: process secrecy " +
-                             state.value().secrecy().to_string() +
-                             " would leak into record labeled " +
-                             record.labels.secrecy.to_string());
-    }
-    const difc::Label endorsable = state.value().integrity().union_with(
-        state.value().owned().addable());
-    if (!record.labels.integrity.subset_of(endorsable)) {
-      return util::make_error("flow.denied",
-                              "put: cannot forge integrity " +
-                                  record.labels.integrity.to_string());
-    }
+    // Create: stamping the labels is writing them — no leak into the
+    // record, no forged endorsement.
+    if (auto status = who.value().check_write(record.labels); !status.ok())
+      return status;
     if (auto charged = kernel_.charge(
             pid, os::Resource::kDisk,
             static_cast<std::int64_t>(record.data.dump().size()));
@@ -123,11 +110,8 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
   // owner are immutable through this path (relabel is a provider op), so
   // only the field postings can move.
   const Record& existing = *it->second;
-  if (auto status = difc::check_write(
-          widen_for(state.value(), existing.labels), existing.labels);
-      !status.ok()) {
+  if (auto status = who.value().check_write(existing.labels); !status.ok())
     return status;
-  }
   const auto new_size = static_cast<std::int64_t>(record.data.dump().size());
   const auto old_size =
       static_cast<std::int64_t>(existing.data.dump().size());
@@ -165,8 +149,8 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
 util::Result<Record> LabeledStore::get(os::Pid pid,
                                        const std::string& collection,
                                        const std::string& id, Raise raise) {
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   const Key key{collection, id};
   RecordRef ref;
   {
@@ -185,30 +169,27 @@ util::Result<Record> LabeledStore::get(os::Pid pid,
 
   // Outside clearance the record does not exist — indistinguishable from
   // a missing id (no existence leak).
-  if (!visible(record, state.value().secrecy_clearance()))
+  if (!who.value().can_see(record.labels.secrecy))
     return not_found(collection, id);
 
   if (raise == Raise::kYes &&
-      !record.labels.secrecy.subset_of(state.value().secrecy())) {
+      !record.labels.secrecy.subset_of(who.value().secrecy())) {
     if (auto raised = kernel_.raise_secrecy(pid, record.labels.secrecy);
         !raised.ok()) {
       return raised.error();
     }
-    state = caller(pid);
-    if (!state.ok()) return state.error();
+    who = caller(pid);
+    if (!who.ok()) return who.error();
   }
-  if (auto status = difc::check_read(widen_for(state.value(), record.labels),
-                                     record.labels);
-      !status.ok()) {
+  if (auto status = who.value().check_read(record.labels); !status.ok())
     return status.error();
-  }
   return record;
 }
 
 util::Status LabeledStore::remove(os::Pid pid, const std::string& collection,
                                   const std::string& id) {
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   const std::vector<IndexSpec> specs = specs_snapshot();
   const Key key{collection, id};
   Shard& shard = shard_for(key);
@@ -219,14 +200,11 @@ util::Status LabeledStore::remove(os::Pid pid, const std::string& collection,
   if (it == shard.records.end())
     return util::Status(not_found(collection, id));
   const Record& existing = *it->second;
-  if (!visible(existing, state.value().secrecy_clearance()))
+  if (!who.value().can_see(existing.labels.secrecy))
     return util::Status(not_found(collection, id));
   // Vandalism is a write (§3.1): deletion needs write authority.
-  if (auto status = difc::check_write(
-          widen_for(state.value(), existing.labels), existing.labels);
-      !status.ok()) {
+  if (auto status = who.value().check_write(existing.labels); !status.ok())
     return status;
-  }
   shard.index.remove(key, existing, specs);
   const RecordRef removed = std::move(it->second);  // freed after the lock
   shard.records.erase(it);
@@ -245,7 +223,7 @@ util::Status LabeledStore::remove(os::Pid pid, const std::string& collection,
 
 void LabeledStore::scan_shards(
     const std::string& collection, const QueryOptions& options,
-    const QueryPlan& plan, const difc::Label& bound,
+    const QueryPlan& plan, ScanBound& bound,
     const std::string& start_after, std::size_t per_shard_cap,
     const std::function<bool(const RecordRef&)>& sink) const {
   if (per_shard_cap == 0) return;
@@ -291,7 +269,7 @@ void LabeledStore::scan_shards(
                                           Key{collection, low});
       for (; it != keys.end() && in_range(*it); ++it) {
         const RecordRef& record = shard.records.at(*it);
-        if (!record->labels.secrecy.subset_of(bound)) continue;
+        if (!bound.admits(record->labels.secrecy)) continue;
         if (!emit(record)) return;
       }
     };
@@ -345,7 +323,7 @@ void LabeledStore::scan_shards(
         std::vector<const std::vector<Key>*> groups;
         for (const auto& [label, keys] : shard.index.by_label) {
           util::telemetry_count(label_groups_checked_);
-          if (label.subset_of(bound)) {
+          if (bound.admits(label)) {
             groups.push_back(&keys);
           } else {
             any_skipped = true;
@@ -398,8 +376,8 @@ util::Result<QueryPage> LabeledStore::run_query(os::Pid pid,
                                                 const std::string& collection,
                                                 const QueryOptions& options,
                                                 Raise raise) {
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   // Budget denial depends only on (principal, rate) — never on record
   // data — so the denial itself carries no §3.5 signal.
   if (auto admitted = governor_.admit(options.principal); !admitted.ok())
@@ -418,9 +396,7 @@ util::Result<QueryPage> LabeledStore::run_query(os::Pid pid,
     util::telemetry_count(cursor_resumes_);
   }
 
-  const difc::Label bound = raise == Raise::kYes
-                                ? state.value().secrecy_clearance()
-                                : state.value().secrecy();
+  ScanBound bound(who.value(), raise);
   const QueryPlan plan = plan_query(collection, options, specs_snapshot());
 
   // Per shard a page never needs more than offset+limit visible matches:
@@ -461,7 +437,7 @@ util::Result<QueryPage> LabeledStore::run_query(os::Pid pid,
 
   // The caller is contaminated by the join of everything returned.
   if (raise == Raise::kYes &&
-      !result_label.subset_of(state.value().secrecy())) {
+      !result_label.subset_of(who.value().secrecy())) {
     if (auto raised = kernel_.raise_secrecy(pid, result_label); !raised.ok())
       return raised.error();
   }
@@ -495,13 +471,11 @@ util::Result<std::size_t> LabeledStore::count(os::Pid pid,
                                               const std::string& collection,
                                               const QueryOptions& options,
                                               Raise raise) {
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
   if (auto admitted = governor_.admit(options.principal); !admitted.ok())
     return admitted.error();
-  const difc::Label bound = raise == Raise::kYes
-                                ? state.value().secrecy_clearance()
-                                : state.value().secrecy();
+  ScanBound bound(who.value(), raise);
   const QueryPlan plan = plan_query(collection, options, specs_snapshot());
   util::telemetry_count(scans_);
   std::size_t n = 0;
@@ -515,7 +489,7 @@ util::Result<std::size_t> LabeledStore::count(os::Pid pid,
   // Counting is observing: the caller pays the same contamination as if
   // the counted records had been returned (query()'s raise contract).
   if (raise == Raise::kYes &&
-      !result_label.subset_of(state.value().secrecy())) {
+      !result_label.subset_of(who.value().secrecy())) {
     if (auto raised = kernel_.raise_secrecy(pid, result_label); !raised.ok())
       return raised.error();
   }
@@ -524,11 +498,9 @@ util::Result<std::size_t> LabeledStore::count(os::Pid pid,
 
 util::Result<std::vector<std::string>> LabeledStore::list_ids(
     os::Pid pid, const std::string& collection, Raise raise) {
-  auto state = caller(pid);
-  if (!state.ok()) return state.error();
-  const difc::Label bound = raise == Raise::kYes
-                                ? state.value().secrecy_clearance()
-                                : state.value().secrecy();
+  auto who = caller(pid);
+  if (!who.ok()) return who.error();
+  ScanBound bound(who.value(), raise);
   util::telemetry_count(scans_);
   const QueryOptions options;  // unfiltered full scan
   std::vector<std::string> out;
@@ -542,7 +514,7 @@ util::Result<std::vector<std::string>> LabeledStore::list_ids(
   std::sort(out.begin(), out.end());
   // Same contamination contract as query()/count(): ids are data too.
   if (raise == Raise::kYes &&
-      !result_label.subset_of(state.value().secrecy())) {
+      !result_label.subset_of(who.value().secrecy())) {
     if (auto raised = kernel_.raise_secrecy(pid, result_label); !raised.ok())
       return raised.error();
   }

@@ -245,17 +245,34 @@ class LabeledStore {
     return shards_[shard_index(key)];
   }
 
-  util::Result<difc::LabelState> caller(os::Pid pid) const;
-  static bool visible(const Record& record, const difc::Label& clearance);
+  util::Result<difc::Authority> caller(os::Pid pid) const;
+
+  // The rows a scan may return: at Raise::kYes the caller's clearance, at
+  // kNo its current S. It remembers the last label (of up to two tags) it
+  // admitted — an owner's rows share one label — so a run of equal labels
+  // costs one check and no allocation.
+  class ScanBound {
+   public:
+    ScanBound(const difc::Authority& who, Raise raise)
+        : who_(who), raise_(raise) {}
+    bool admits(const difc::Label& secrecy);
+
+   private:
+    const difc::Authority& who_;
+    Raise raise_;
+    std::array<difc::Tag, 2> last_{};
+    std::size_t last_size_ = SIZE_MAX;  // none admitted yet
+  };
 
   // The scan engine: runs `plan` over every shard (one read lock at a
-  // time), emitting visible records that match every `options` constraint
-  // in ascending key order *per shard*, at most `per_shard_cap` per
-  // shard. `start_after` is the cursor bound (exclusive), empty = none.
+  // time), emitting records `bound` admits that match every `options`
+  // constraint in ascending key order *per shard*, at most
+  // `per_shard_cap` per shard. `start_after` is the cursor bound
+  // (exclusive), empty = none.
   // sink() runs under the shard's read lock and may keep the reference;
   // returning false stops the whole scan (global early exit).
   void scan_shards(const std::string& collection, const QueryOptions& options,
-                   const QueryPlan& plan, const difc::Label& bound,
+                   const QueryPlan& plan, ScanBound& bound,
                    const std::string& start_after, std::size_t per_shard_cap,
                    const std::function<bool(const RecordRef&)>& sink) const;
 

@@ -269,8 +269,54 @@ void Json::dump_to(std::string& out, bool pretty, int indent) const {
   }
 }
 
+namespace {
+
+// How many characters append_number writes for `n`.
+std::size_t number_size(double n) {
+  if (std::isfinite(n) && n == std::floor(n) && std::abs(n) < 9.0e15) {
+    const auto v = static_cast<long long>(n);
+    std::size_t size = v < 0 ? 2 : 1;  // sign, first digit
+    for (long long rest = v < 0 ? -v : v; rest >= 10; rest /= 10) ++size;
+    return size;
+  }
+  return std::isfinite(n) ? 24 : 4;  // "%.17g" is at most 24 characters
+}
+
+// The compact dump's length when no string needs escaping; escapes only
+// add to it.
+std::size_t compact_size(const Json& j) {
+  switch (j.type()) {
+    case Json::Type::kNull:
+      return 4;
+    case Json::Type::kBool:
+      return j.as_bool() ? 4 : 5;
+    case Json::Type::kNumber:
+      return number_size(j.as_number());
+    case Json::Type::kString:
+      return j.as_string().size() + 2;
+    case Json::Type::kArray: {
+      std::size_t size = 2 + j.as_array().size();  // brackets, commas (+1)
+      for (const Json& e : j.as_array()) size += compact_size(e);
+      return size - (j.as_array().empty() ? 0 : 1);
+    }
+    case Json::Type::kObject: {
+      std::size_t size = 2 + j.as_object().size();
+      for (const auto& [key, value] : j.as_object())
+        size += key.size() + 3 + compact_size(value);  // quotes, colon
+      return size - (j.as_object().empty() ? 0 : 1);
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::string Json::dump(bool pretty) const {
   std::string out;
+  // Size the buffer once: appending a big string into a buffer grown just
+  // to fit it lets the next few bytes double it, so a 64 KiB value cost
+  // three times its size.
+  if (!pretty) out.reserve(compact_size(*this));
   dump_to(out, pretty, 0);
   return out;
 }

@@ -54,6 +54,7 @@ inline constexpr int kStoreShard = 44;          // LabeledStore Shard::mutex ×1
 inline constexpr int kUserDirectory = 46;       // UserDirectory::mutex_
 inline constexpr int kFileSystem = 48;          // FileSystem::mutex_
 inline constexpr int kKernel = 50;              // Kernel::mutex_
+inline constexpr int kGlobalCapabilities = 51;  // GlobalCapabilities::mutex_
 inline constexpr int kTagRegistry = 52;         // TagRegistry::mutex_
 inline constexpr int kLabelTable = 54;          // LabelTable::mutex_
 inline constexpr int kFlowCache = 56;           // FlowCache::mutex_

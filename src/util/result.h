@@ -50,6 +50,10 @@ class [[nodiscard]] Result {
     assert(!ok());
     return std::get<1>(storage_);
   }
+  E&& error() && {
+    assert(!ok());
+    return std::get<1>(std::move(storage_));
+  }
 
   // value_or: fall back when the operation failed.
   template <typename U>
@@ -85,6 +89,10 @@ class [[nodiscard]] Result<void, E> {
   const E& error() const& {
     assert(!ok_);
     return error_;
+  }
+  E&& error() && {
+    assert(!ok_);
+    return std::move(error_);
   }
 
   friend bool operator==(const Result&, const Result&) = default;

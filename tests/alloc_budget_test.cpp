@@ -174,12 +174,13 @@ class AllocBudgetTest : public ::testing::Test {
   }
 
   // Counts one request kind, prints it, and holds it to `ceiling`.
-  void expect_within(const char* kind, const HttpRequest& req,
-                     int expect_status, std::size_t ceiling) {
+  Count expect_within(const char* kind, const HttpRequest& req,
+                      int expect_status, std::size_t ceiling) {
     const Count c = count(req, expect_status);
     std::printf("alloc_budget %-16s %5zu allocations %8zu bytes (ceiling %zu)\n",
                 kind, c.allocations, c.bytes, ceiling);
     EXPECT_LE(c.allocations, ceiling) << kind;
+    return c;
   }
 
   util::WallClock clock_;
@@ -192,31 +193,37 @@ TEST_F(AllocBudgetTest, GatewayFloorAndNotes) {
   expect_within("note_put",
                 request(Method::kPost, "/data/notes/n1", "alice",
                         R"({"text":"a note of some forty bytes or so"})"),
-                201, 43);
+                201, 28);
   expect_within("note_get", request(Method::kGet, "/data/notes/n1", "alice"),
-                200, 55);
+                200, 23);
 }
 
 TEST_F(AllocBudgetTest, PhotoViews) {
   const std::string view = "/dev/photoco/photos/view?id=a-p00";
-  expect_within("own_view", request(Method::kGet, view, "alice"), 200, 59);
-  expect_within("friend_view", request(Method::kGet, view, "bob"), 200, 92);
-  expect_within("stranger_view", request(Method::kGet, view, "carol"), 403,
-                102);
-  expect_within("big_view",
-                request(Method::kGet, "/dev/photoco/photos/view?id=a-zbig",
-                        "alice"),
-                200, 60);
+  expect_within("own_view", request(Method::kGet, view, "alice"), 200, 38);
+  const Count friend_view =
+      expect_within("friend_view", request(Method::kGet, view, "bob"), 200, 40);
+  const Count stranger_view = expect_within(
+      "stranger_view", request(Method::kGet, view, "carol"), 403, 40);
+  // A blocked request costs no more than the same request allowed.
+  EXPECT_LE(stranger_view.allocations, friend_view.allocations);
+
+  const HttpRequest big = request(
+      Method::kGet, "/dev/photoco/photos/view?id=a-zbig", "alice");
+  const Count big_view = expect_within("big_view", big, 200, 38);
+  // The 64 KiB body is serialized into one buffer, not grown by doubling.
+  const std::size_t body = provider_.handle(big).body.size();
+  EXPECT_LE(big_view.bytes, body + body / 2) << "body " << body;
 }
 
 TEST_F(AllocBudgetTest, FiftyRowListPages) {
   expect_within("app_list",
                 request(Method::kGet, "/dev/photoco/photos/list?limit=50",
                         "alice"),
-                200, 426);
+                200, 409);
   expect_within("data_list",
                 request(Method::kGet, "/data/photos?limit=50", "alice"), 200,
-                359);
+                343);
 }
 
 }  // namespace

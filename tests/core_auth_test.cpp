@@ -95,6 +95,33 @@ TEST(SessionManagerTest, RevokeAllEndsEverySession) {
   EXPECT_EQ(sessions.validate(t3), "amy");
 }
 
+TEST(SessionManagerTest, AbandonedSessionsAreReclaimedByLaterCreates) {
+  util::SimClock clock;
+  SessionManager sessions(clock, /*ttl=*/1000);
+  std::vector<std::string> abandoned;
+  for (int i = 0; i < 1000; ++i) abandoned.push_back(sessions.create("bob"));
+  clock.advance(100);  // `kept` expires after every abandoned session
+  const std::string kept = sessions.create("keeper");
+  EXPECT_EQ(sessions.live_sessions(), 1001u);
+  // `kept` is refreshed every 600 µs; the others are never revisited.
+  for (int step = 0; step < 3; ++step) {
+    clock.advance(600);
+    ASSERT_EQ(sessions.validate(kept), "keeper");
+  }
+  // One create reclaims a bounded batch, not every expired session.
+  std::vector<std::string> fresh{sessions.create("amy")};
+  EXPECT_EQ(sessions.live_sessions(),
+            1001u + 1 - SessionManager::kReclaimPerCreate);
+  // Later creates reclaim the rest; the kept session's stale index entry
+  // is re-queued at its refreshed expiry rather than reclaimed.
+  while (fresh.size() < 20) fresh.push_back(sessions.create("amy"));
+  EXPECT_EQ(sessions.live_sessions(), fresh.size() + 1);
+  EXPECT_EQ(sessions.validate(kept), "keeper");
+  for (const auto& token : fresh) EXPECT_EQ(sessions.validate(token), "amy");
+  for (const auto& token : abandoned)
+    EXPECT_FALSE(sessions.validate(token).has_value());
+}
+
 TEST(SessionManagerTest, TokensAreUnique) {
   util::SimClock clock;
   SessionManager sessions(clock, 1000);

@@ -38,6 +38,8 @@ TEST(DeclassifierTest, FriendListConsultsLookup) {
   EXPECT_TRUE(declassifier->decide(request_for("alice", "bob")).ok());  // friend
   EXPECT_FALSE(declassifier->decide(request_for("charlie", "bob")).ok());
   EXPECT_FALSE(declassifier->decide(request_for("", "bob")).ok());
+  EXPECT_EQ(declassifier->decide(request_for("charlie", "bob")).error().detail,
+            "friend-list: 'charlie' is not a friend of 'bob'");
 }
 
 TEST(DeclassifierTest, GroupMembership) {

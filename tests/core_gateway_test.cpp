@@ -124,7 +124,21 @@ TEST_F(GatewayTest, BoilerplatePolicyBlocksOtherViewers) {
       Method::kGet, "/dev/devA/view?c=photos&id=bob1", "", alice_);
   EXPECT_EQ(response.status, 403);
   EXPECT_EQ(response.body.find("secret"), std::string::npos);
+  EXPECT_EQ(response.body,
+            R"({"error":"export blocked by security perimeter"})");
+  EXPECT_EQ(response.headers.get("Content-Type"), "application/json");
   EXPECT_GE(provider_.audit().count(AuditKind::kExportBlocked), 1u);
+  // The deny path's audit rows keep their text.
+  const auto events = provider_.audit().events();
+  ASSERT_GE(events.size(), 2u);
+  const AuditEvent& decision = events[events.size() - 2];
+  EXPECT_EQ(decision.kind, AuditKind::kDeclassifierDecision);
+  EXPECT_EQ(decision.actor, "std/owner-only");
+  EXPECT_EQ(decision.subject, "sec(bob)");
+  EXPECT_EQ(decision.detail, "declassify.denied viewer=alice");
+  const AuditEvent& blocked = events.back();
+  EXPECT_EQ(blocked.kind, AuditKind::kExportBlocked);
+  EXPECT_EQ(blocked.detail, "owner-only: viewer 'alice' is not owner 'bob'");
 }
 
 TEST_F(GatewayTest, AnonymousViewerAlsoBlocked) {

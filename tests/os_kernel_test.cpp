@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "difc/flow.h"
 #include "os/kernel.h"
-#include "util/rng.h"
 
 namespace w5::os {
 namespace {
@@ -147,47 +146,54 @@ TEST(KernelTest, DropCapabilityIsIrrevocable) {
   EXPECT_FALSE(kernel.set_secrecy(pid, Label{}).ok());
 }
 
-TEST(KernelTest, EffectiveStateOfKernelOwnsEverything) {
+TEST(KernelTest, KernelAuthorityPassesEveryCheck) {
   Kernel kernel;
-  auto a = kernel.create_tag(kKernelPid, "a", TagPurpose::kSecrecy);
-  auto b = kernel.create_tag(kKernelPid, "b", TagPurpose::kIntegrity);
-  auto state = kernel.effective_state(kKernelPid);
-  ASSERT_TRUE(state.ok());
-  EXPECT_TRUE(state.value().owned().has_dual(a.value()));
-  EXPECT_TRUE(state.value().owned().has_dual(b.value()));
+  const Tag a =
+      kernel.create_tag(kKernelPid, "a", TagPurpose::kSecrecy).value();
+  const Tag b =
+      kernel.create_tag(kKernelPid, "b", TagPurpose::kIntegrity).value();
+  auto who = kernel.authority(kKernelPid);
+  ASSERT_TRUE(who.ok());
+  const difc::Authority& kernel_view = who.value();
+  EXPECT_TRUE(kernel_view.is_kernel());
+  // Its labels are pinned at {}; its authority covers every tag.
+  EXPECT_EQ(kernel_view.secrecy(), Label{});
+  EXPECT_EQ(kernel_view.integrity(), Label{});
+  const difc::ObjectLabels object{Label{a}, Label{b}};
+  EXPECT_TRUE(kernel_view.can_see(object.secrecy));
+  EXPECT_TRUE(kernel_view.check_read(object).ok());
+  EXPECT_TRUE(kernel_view.check_write(object).ok());
+  EXPECT_TRUE(kernel_view.change_is_safe(Label{a, b}, Label{}));
+  EXPECT_TRUE(kernel_view.holds(minus(a)));
+  EXPECT_TRUE(kernel_view.holds(plus(b)));
 }
 
-TEST(KernelTest, KernelAuthorityMatchesPerTagDualBuild) {
-  // Many tags created in shuffled order: the registry hands them back in
-  // hash order, and the kernel's set must still be exactly dual privilege
-  // over every registered tag.
+TEST(KernelTest, ProcessAuthorityLooksUpGlobalCapsPerTag) {
+  // Ô is consulted at each check, not copied into the view: a tag
+  // published after the view was taken counts, and a process's own
+  // capabilities never grow by it.
   Kernel kernel;
-  std::vector<int> order(300);
-  for (int i = 0; i < 300; ++i) order[static_cast<std::size_t>(i)] = i;
-  util::Rng rng(9);
-  for (std::size_t i = order.size(); i > 1; --i)
-    std::swap(order[i - 1], order[rng.next_below(i)]);
-  for (const int i : order) {
-    kernel.tags().create("t" + std::to_string(i), i % 3 == 0
-                                                      ? TagPurpose::kIntegrity
-                                                      : TagPurpose::kSecrecy);
+  std::vector<Tag> tags;
+  for (int i = 0; i < 300; ++i) {
+    tags.push_back(kernel.tags().create("t" + std::to_string(i),
+                                        TagPurpose::kSecrecy));
   }
-  CapabilitySet reference;
-  for (const Tag tag : kernel.tags().all()) reference.add_dual(tag);
-
-  auto state = kernel.effective_state(kKernelPid);
-  ASSERT_TRUE(state.ok());
-  const CapabilitySet& owned = state.value().owned();
-  EXPECT_EQ(owned, reference);
-  EXPECT_EQ(owned.size(), 2 * kernel.tags().size());
-  for (const Tag tag : kernel.tags().all()) EXPECT_TRUE(owned.has_dual(tag));
-  EXPECT_TRUE(std::is_sorted(owned.capabilities().begin(),
-                             owned.capabilities().end()));
-  // Nothing beyond the registry: a tag the registry never minted.
-  const Tag unknown = kernel.tags().create("late", TagPurpose::kSecrecy);
-  EXPECT_FALSE(owned.has_plus(unknown));
-  EXPECT_FALSE(owned.has_minus(unknown));
-  EXPECT_EQ(state.value().secrecy_clearance(), reference.addable());
+  const Pid app = kernel.spawn_trusted("app", LabelState({}, {}, {}));
+  auto who = kernel.authority(app);
+  ASSERT_TRUE(who.ok());
+  const Label secret{tags[17]};
+  EXPECT_FALSE(who.value().can_see(secret));
+  kernel.add_global_capability(plus(tags[17]));
+  EXPECT_TRUE(who.value().can_see(secret));
+  EXPECT_TRUE(who.value().holds(plus(tags[17])));
+  // t+ alone admits the row but does not read it: reading needs t in S
+  // or dual privilege, and t- is not global.
+  EXPECT_FALSE(who.value().check_read({secret, {}}).ok());
+  EXPECT_FALSE(who.value().can_see(Label{tags[18]}));
+  EXPECT_TRUE(kernel.find(app)->labels.owned().empty());
+  // Publishing t- too makes the tag dual for every process.
+  kernel.add_global_capability(minus(tags[17]));
+  EXPECT_TRUE(who.value().check_read({secret, {}}).ok());
 }
 
 TEST(KernelTest, ChargeKillsOverQuotaProcess) {
