@@ -18,6 +18,9 @@
 //       process's clearance (every user's secrecy tag, Flume's Ô), over
 //       64 owners × 65 records, one of them a 64 KiB photo — the shape
 //       of w5bench's inproc_bulk_read list pages — at 1 and 4 threads.
+//   BM_OwnerPut — report-only: one put of a new key, at a random
+//       position among the ids of an owner who already holds 10k or
+//       100k records (ROADMAP 9's posting-list insert); p50_us counter.
 //
 // The fixture is built once and shared (1M labeled puts take seconds);
 // benchmarks only read it, except the count channel which restores the
@@ -27,6 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -306,6 +310,81 @@ BENCHMARK(BM_OwnerPage)
     ->Threads(1)
     ->Threads(4)
     ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// One owner's n records under one secrecy tag, with random ids (loaded
+// in id order, which leaves the same posting lists as any order).
+struct OwnerPutFixture {
+  w5::os::Kernel kernel;
+  w5::util::SimClock clock;
+  LabeledStore store{kernel, clock};
+  Tag tag;
+
+  explicit OwnerPutFixture(std::size_t n) {
+    tag = kernel.create_tag(kKernelPid, "sec(owner)",
+                            w5::difc::TagPurpose::kSecrecy)
+              .value();
+    w5::util::Rng rng(9);
+    std::vector<std::string> ids;
+    for (std::size_t i = 0; i < n; ++i) ids.push_back(random_id(rng));
+    std::sort(ids.begin(), ids.end());
+    for (std::string& id : ids)
+      (void)store.put(kKernelPid, record(std::move(id)));
+  }
+
+  static std::string random_id(w5::util::Rng& rng) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "r%016llx",
+                  static_cast<unsigned long long>(rng.next_u64()));
+    return buf;
+  }
+
+  Record record(std::string id) const {
+    Record record;
+    record.collection = "photos";
+    record.id = std::move(id);
+    record.owner = "owner";
+    record.labels = ObjectLabels{Label{tag}, {}};
+    record.data["title"] = "photo";
+    return record;
+  }
+
+  static OwnerPutFixture& of(std::size_t n) {
+    static std::map<std::size_t, OwnerPutFixture*> built;  // leaked
+    OwnerPutFixture*& fx = built[n];
+    if (fx == nullptr) fx = new OwnerPutFixture(n);
+    return *fx;
+  }
+};
+
+void BM_OwnerPut(benchmark::State& state) {
+  OwnerPutFixture& fx =
+      OwnerPutFixture::of(static_cast<std::size_t>(state.range(0)));
+  w5::util::Rng rng(29);
+  std::vector<double> micros;
+  for (auto _ : state) {
+    const std::string id = OwnerPutFixture::random_id(rng);
+    Record record = fx.record(id);
+    const auto start = std::chrono::steady_clock::now();
+    const auto status = fx.store.put(kKernelPid, std::move(record));
+    const auto stop = std::chrono::steady_clock::now();
+    if (!status.ok()) {
+      state.SkipWithError("put failed");
+      break;
+    }
+    // Untimed: removing the key again keeps the population at n.
+    (void)fx.store.remove(kKernelPid, "photos", id);
+    const double seconds = std::chrono::duration<double>(stop - start).count();
+    state.SetIterationTime(seconds);
+    micros.push_back(seconds * 1e6);
+  }
+  std::sort(micros.begin(), micros.end());
+  state.counters["p50_us"] = micros.empty() ? 0.0 : micros[micros.size() / 2];
+}
+BENCHMARK(BM_OwnerPut)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -38,19 +38,28 @@ HttpResponse photo_handler(AppContext& ctx) {
           photos.error().code == "store.bad_cursor" ? 400 : 500,
           photos.error().code);
     }
-    util::Json out = util::Json::array();
-    for (const auto& record : photos.value().records) {
-      util::Json item;
-      item["id"] = record.id;
-      item["title"] = record.data.at("title");
-      item["caption"] = record.data.at("caption");
-      out.push_back(std::move(item));
+    // Appended in the key order a util::Json object dumps, so the bytes
+    // are the tree's without building one per row.
+    const store::QueryPage& page = photos.value();
+    std::string body;
+    body.reserve(64 + subject.size() + page.records.size() * 192);
+    body.append("{\"next_cursor\":");
+    util::json_escape(page.next_cursor, body);
+    body.append(",\"photos\":[");
+    for (const auto& record : page.records) {
+      if (&record != &page.records.front()) body.push_back(',');
+      body.append("{\"caption\":");
+      record.data.at("caption").dump_to(body);
+      body.append(",\"id\":");
+      util::json_escape(record.id, body);
+      body.append(",\"title\":");
+      record.data.at("title").dump_to(body);
+      body.push_back('}');
     }
-    util::Json body;
-    body["user"] = subject;
-    body["photos"] = std::move(out);
-    body["next_cursor"] = photos.value().next_cursor;
-    return HttpResponse::json(200, body.dump());
+    body.append("],\"user\":");
+    util::json_escape(subject, body);
+    body.push_back('}');
+    return HttpResponse::json(200, std::move(body));
   }
 
   if (action == "everywhere") {

@@ -590,8 +590,8 @@ net::HttpResponse Gateway::route_invite(const net::HttpRequest& request) {
   const auto to = net::query_get(*params, "to");
   const auto app = net::query_get(*params, "app");
   if (!to || !app) return json_error(400, "to and app required");
-  if (provider_.users().find(*to) == nullptr)
-    return json_error(404, "no such user");
+  const UserAccount* invitee = provider_.users().find(*to);
+  if (invitee == nullptr) return json_error(404, "no such user");
   // Validate the module path exists (any version).
   const auto slash = app->find('/');
   if (slash == std::string::npos ||
@@ -601,7 +601,6 @@ net::HttpResponse Gateway::route_invite(const net::HttpRequest& request) {
   }
   // The invitation is the invitee's data: labeled for them, written by
   // the trusted front-end.
-  const UserAccount* invitee = provider_.users().find(*to);
   store::Record record;
   record.collection = "invitations";
   record.id = *to + ":" + *app;
@@ -652,7 +651,9 @@ net::HttpResponse Gateway::route_invitations(
 
 net::HttpResponse Gateway::route_accept(const net::HttpRequest& request) {
   const std::string viewer = viewer_of(request);
-  if (viewer.empty()) return json_error(401, "login required");
+  // A session can outlive its account (a delete racing this request).
+  const UserAccount* account = provider_.users().find(viewer);
+  if (account == nullptr) return json_error(401, "login required");
   auto params = net::parse_query(request.body);
   if (!params) return json_error(400, "malformed form body");
   const auto app = net::query_get(*params, "app");
@@ -667,7 +668,6 @@ net::HttpResponse Gateway::route_accept(const net::HttpRequest& request) {
   provider_.policies().set(viewer, std::move(policy));
 
   record.value().data["accepted"] = true;
-  const UserAccount* account = provider_.users().find(viewer);
   const os::Pid pid = provider_.kernel().spawn_trusted(
       "frontend:accept",
       difc::LabelState({account->secrecy_tag}, {account->write_tag}, {}));
@@ -810,8 +810,8 @@ net::HttpResponse Gateway::route_dev_stats(const net::HttpRequest& request) {
 net::HttpResponse Gateway::route_put_data(const net::HttpRequest& request,
                                           const net::RouteParams& params) {
   const std::string viewer = viewer_of(request);
-  if (viewer.empty()) return json_error(401, "login required");
   const UserAccount* account = provider_.users().find(viewer);
+  if (account == nullptr) return json_error(401, "login required");
   auto data = util::Json::parse(request.body);
   if (!data.ok()) return json_error(400, "body must be JSON");
 
@@ -892,19 +892,27 @@ net::HttpResponse Gateway::route_list_data(const net::HttpRequest& request,
         page.error().code == "store.bad_cursor" ? 400 : 403,
         page.error().code);
   }
+  // Appended in the key order a util::Json object dumps, so the bytes
+  // are the tree's without building one per row.
+  const std::vector<store::Record>& rows = page.value().records;
   difc::Label combined;
-  util::Json items = util::Json::array();
-  for (const auto& record : page.value().records) {
-    combined = combined.union_with(record.labels.secrecy);
-    util::Json entry;
-    entry["id"] = record.id;
-    entry["data"] = record.data;
-    items.push_back(std::move(entry));
+  std::string body;
+  body.reserve(64 + rows.size() * 192);
+  body.append("{\"items\":[");
+  for (const auto& record : rows) {
+    if (!record.labels.secrecy.subset_of(combined))
+      combined = combined.union_with(record.labels.secrecy);
+    if (&record != &rows.front()) body.push_back(',');
+    body.append("{\"data\":");
+    record.data.dump_to(body);
+    body.append(",\"id\":");
+    util::json_escape(record.id, body);
+    body.push_back('}');
   }
-  util::Json body;
-  body["items"] = std::move(items);
-  body["next_cursor"] = page.value().next_cursor;
-  auto response = net::HttpResponse::json(200, body.dump());
+  body.append("],\"next_cursor\":");
+  util::json_escape(page.value().next_cursor, body);
+  body.push_back('}');
+  auto response = net::HttpResponse::json(200, std::move(body));
   return export_response(std::move(response), combined, viewer,
                          "platform/data-read");
 }
@@ -912,8 +920,8 @@ net::HttpResponse Gateway::route_list_data(const net::HttpRequest& request,
 net::HttpResponse Gateway::route_delete_data(const net::HttpRequest& request,
                                              const net::RouteParams& params) {
   const std::string viewer = viewer_of(request);
-  if (viewer.empty()) return json_error(401, "login required");
   const UserAccount* account = provider_.users().find(viewer);
+  if (account == nullptr) return json_error(401, "login required");
   const os::Pid pid = provider_.kernel().spawn_trusted(
       "frontend:delete-data:" + viewer,
       difc::LabelState({account->secrecy_tag}, {account->write_tag},

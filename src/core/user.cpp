@@ -40,11 +40,17 @@ util::Result<const UserAccount*> UserDirectory::create(
   }
   if (password.size() < 3)
     return util::make_error("user.invalid", "password too short");
+  UserAccount account;
+  // Deterministic salt derivation keeps tests reproducible while still
+  // yielding a distinct salt per user. Neither reads the directory, so the
+  // iterated hash runs before the lock that every lookup shares.
+  account.password_salt = util::sha256_hex("salt:" + id).substr(0, 16);
+  account.password_hash = hash_password(account.password_salt, password);
+
   util::WriteLock lock(mutex_);
   if (users_.contains(id))
     return util::make_error("user.exists", "user '" + id + "' already exists");
 
-  UserAccount account;
   account.id = id;
   account.display_name = display_name.empty() ? id : display_name;
   account.secrecy_tag =
@@ -61,11 +67,6 @@ util::Result<const UserAccount*> UserDirectory::create(
   // read-and-be-contaminated); nobody may lower without a declassifier.
   // rp(u)+ is deliberately NOT global.
   kernel_.add_global_capability(difc::plus(account.secrecy_tag));
-
-  // Deterministic salt derivation keeps tests reproducible while still
-  // yielding a distinct salt per user.
-  account.password_salt = util::sha256_hex("salt:" + id).substr(0, 16);
-  account.password_hash = hash_password(account.password_salt, password);
 
   tag_owner_[account.secrecy_tag] = id;
   tag_owner_[account.write_tag] = id;

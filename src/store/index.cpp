@@ -9,60 +9,74 @@ std::optional<std::string> index_encode(const util::Json& value) {
   return value.as_string();
 }
 
-void posting_insert(std::vector<RecordKey>& keys, const RecordKey& key) {
-  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it != keys.end() && *it == key) return;  // idempotent
-  keys.insert(it, key);
+PostingList::const_iterator posting_seek(const PostingList& list,
+                                         const RecordKey& key, bool strict) {
+  if (strict) {
+    return std::upper_bound(
+        list.begin(), list.end(), key,
+        [](const RecordKey& k, Posting node) { return k < node->first; });
+  }
+  return std::lower_bound(
+      list.begin(), list.end(), key,
+      [](Posting node, const RecordKey& k) { return node->first < k; });
 }
 
-void posting_erase(std::vector<RecordKey>& keys, const RecordKey& key) {
-  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it != keys.end() && *it == key) keys.erase(it);
+void posting_insert(PostingList& list, Posting node) {
+  const auto it = posting_seek(list, node->first, /*strict=*/false);
+  if (it != list.end() && (*it)->first == node->first) return;  // idempotent
+  list.insert(it, node);
+}
+
+void posting_erase(PostingList& list, Posting node) {
+  const auto it = posting_seek(list, node->first, /*strict=*/false);
+  if (it != list.end() && (*it)->first == node->first) list.erase(it);
 }
 
 namespace {
 
 template <typename MapT, typename KeyT>
-void map_posting_erase(MapT& map, const KeyT& map_key, const RecordKey& key) {
+void map_posting_erase(MapT& map, const KeyT& map_key, Posting node) {
   const auto it = map.find(map_key);
   if (it == map.end()) return;
-  posting_erase(it->second, key);
+  posting_erase(it->second, node);
   if (it->second.empty()) map.erase(it);
 }
 
 }  // namespace
 
-void ShardIndex::add(const RecordKey& key, const Record& record,
-                     const std::vector<IndexSpec>& specs) {
-  posting_insert(by_owner[record.owner], key);
-  posting_insert(by_label[record.labels.secrecy], key);
-  add_fields(key, record, specs);
+void ShardIndex::add(Posting node, const std::vector<IndexSpec>& specs) {
+  const Record& record = *node->second;
+  posting_insert(by_owner[record.owner], node);
+  posting_insert(by_label[record.labels.secrecy], node);
+  add_fields(node, specs);
 }
 
-void ShardIndex::remove(const RecordKey& key, const Record& record,
-                        const std::vector<IndexSpec>& specs) {
-  map_posting_erase(by_owner, record.owner, key);
-  map_posting_erase(by_label, record.labels.secrecy, key);
-  remove_fields(key, record, specs);
+void ShardIndex::remove(Posting node, const std::vector<IndexSpec>& specs) {
+  const Record& record = *node->second;
+  map_posting_erase(by_owner, record.owner, node);
+  map_posting_erase(by_label, record.labels.secrecy, node);
+  remove_fields(node, specs);
 }
 
-void ShardIndex::add_fields(const RecordKey& key, const Record& record,
+void ShardIndex::add_fields(Posting node,
                             const std::vector<IndexSpec>& specs) {
+  const Record& record = *node->second;
   for (const IndexSpec& spec : specs) {
     if (spec.collection != record.collection) continue;
     if (const auto value = index_encode(record.data.at(spec.field)))
       posting_insert(
-          by_field[FieldKey{spec.collection, spec.field, *value}], key);
+          by_field[FieldKey{spec.collection, spec.field, *value}], node);
   }
 }
 
-void ShardIndex::remove_fields(const RecordKey& key, const Record& record,
+void ShardIndex::remove_fields(Posting node,
                                const std::vector<IndexSpec>& specs) {
+  const Record& record = *node->second;
   for (const IndexSpec& spec : specs) {
     if (spec.collection != record.collection) continue;
     if (const auto value = index_encode(record.data.at(spec.field)))
       map_posting_erase(by_field,
-                        FieldKey{spec.collection, spec.field, *value}, key);
+                        FieldKey{spec.collection, spec.field, *value}, node);
   }
 }
 
@@ -78,11 +92,9 @@ void ShardIndex::rebuild_field(const IndexSpec& spec,
     it = by_field.erase(it);
   }
   const std::vector<IndexSpec> one{spec};
-  const auto begin = records.lower_bound(RecordKey{spec.collection, ""});
-  for (auto rec = begin;
-       rec != records.end() && rec->first.first == spec.collection; ++rec) {
-    add_fields(rec->first, *rec->second, one);
-  }
+  for (auto node = records.lower_bound(RecordKey{spec.collection, ""});
+       node != records.end() && node->first.first == spec.collection; ++node)
+    add_fields(node, one);
 }
 
 }  // namespace w5::store

@@ -4,17 +4,28 @@
 // scans emit candidates smallest-key-first and pagination never needs a
 // post-hoc fixup:
 //
-//   by_owner   owner            → keys (all collections)
-//   by_label   secrecy label    → keys — records grouped by their exact
+//   by_owner   owner            → rows (all collections)
+//   by_label   secrecy label    → rows — records grouped by their exact
 //              label *set*, so one clearance check (Label::subset_of)
 //              admits or skips an entire list; invisible groups are
 //              never touched, which is both the perf win and the §3.5
 //              story (unreadable records cost the caller nothing
 //              observable).
-//   by_field   (collection, field, value) → keys for registered
+//   by_field   (collection, field, value) → rows for registered
 //              IndexSpecs — equality lookups on string-valued data
 //              fields (matching field_equals() semantics; non-string
 //              values are deliberately not indexed).
+//
+// A posting is an iterator to the row's node in the shard's RecordMap,
+// so a walk reads the row without a second lookup. A map node never
+// moves, and an overwrite swaps the RecordRef inside the same node, so a
+// posting stays valid across puts. What invalidates one:
+//
+//   - Erasing its node. Every path unindexes a row before it erases the
+//     node (remove, apply_wal's store.remove); posting_erase reads the
+//     node's key, so the other order reads freed memory.
+//   - Replacing the map. load_json installs new maps with swap(), which
+//     keeps iterators valid; move assignment does not promise to.
 //
 // The index is derived state: put/remove/apply_wal/load_json maintain it
 // in lockstep with the record map under the owning shard's lock, and
@@ -42,6 +53,10 @@ using RecordKey = std::pair<std::string, std::string>;  // (collection, id)
 using RecordRef = std::shared_ptr<const Record>;
 using RecordMap = std::map<RecordKey, RecordRef>;
 
+// One posting: the row's node in its shard's RecordMap.
+using Posting = RecordMap::const_iterator;
+using PostingList = std::vector<Posting>;
+
 // A registered equality index over data[field] for one collection.
 // Registration is create_index(); the spec list is read on every put, so
 // it lives behind the store's spec lock, not per shard.
@@ -60,42 +75,38 @@ struct IndexSpec {
 // field_equals(), which only ever matches strings).
 std::optional<std::string> index_encode(const util::Json& value);
 
-// Sorted-unique posting-list maintenance. Insert is idempotent and erase
-// tolerates absence, so index rebuilds may race benignly with concurrent
-// maintenance during create_index() backfill.
-void posting_insert(std::vector<RecordKey>& keys, const RecordKey& key);
-void posting_erase(std::vector<RecordKey>& keys, const RecordKey& key);
+// The first posting whose key is above `key` (strict) or not below it.
+PostingList::const_iterator posting_seek(const PostingList& list,
+                                         const RecordKey& key, bool strict);
+
+// Sorted-unique posting-list maintenance, keyed by the node's key. Insert
+// is idempotent and erase tolerates absence, so index rebuilds may race
+// benignly with concurrent maintenance during create_index() backfill.
+void posting_insert(PostingList& list, Posting node);
+void posting_erase(PostingList& list, Posting node);
 
 struct ShardIndex {
   using FieldKey = std::tuple<std::string, std::string, std::string>;
 
-  std::map<std::string, std::vector<RecordKey>> by_owner;
-  std::map<difc::Label, std::vector<RecordKey>> by_label;
-  std::map<FieldKey, std::vector<RecordKey>> by_field;
+  std::map<std::string, PostingList> by_owner;
+  std::map<difc::Label, PostingList> by_label;
+  std::map<FieldKey, PostingList> by_field;
 
-  // Full add/remove of one record's entries across all three families.
-  // Caller holds the owning shard's write lock.
-  void add(const RecordKey& key, const Record& record,
-           const std::vector<IndexSpec>& specs);
-  void remove(const RecordKey& key, const Record& record,
-              const std::vector<IndexSpec>& specs);
+  // Full add/remove of one row's entries across all three families, read
+  // from the version the node holds. Caller holds the owning shard's
+  // write lock.
+  void add(Posting node, const std::vector<IndexSpec>& specs);
+  void remove(Posting node, const std::vector<IndexSpec>& specs);
 
   // Overwrite path: owner and labels are immutable through put(), so only
-  // the field postings can move when data changes.
-  void remove_fields(const RecordKey& key, const Record& record,
-                     const std::vector<IndexSpec>& specs);
-  void add_fields(const RecordKey& key, const Record& record,
-                  const std::vector<IndexSpec>& specs);
+  // the field postings can move when data changes — remove_fields before
+  // the node's version is swapped, add_fields after.
+  void remove_fields(Posting node, const std::vector<IndexSpec>& specs);
+  void add_fields(Posting node, const std::vector<IndexSpec>& specs);
 
   // Drops and rebuilds by_field entries for exactly one spec from the
   // given records (create_index backfill on a non-empty store).
   void rebuild_field(const IndexSpec& spec, const RecordMap& records);
-
-  void clear() {
-    by_owner.clear();
-    by_label.clear();
-    by_field.clear();
-  }
 };
 
 }  // namespace w5::store

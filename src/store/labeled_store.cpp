@@ -87,11 +87,12 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
     }
     record.version = 1;
     record.updated_micros = clock_.now();
-    const Record& created =
-        *shard.records
-             .emplace(key, std::make_shared<const Record>(std::move(record)))
-             .first->second;
-    shard.index.add(key, created, specs);
+    const auto node =
+        shard.records
+            .emplace(key, std::make_shared<const Record>(std::move(record)))
+            .first;
+    const Record& created = *node->second;
+    shard.index.add(node, specs);
     // log() under the shard lock so commit order matches lock order; the
     // durability wait happens after release (never fsync under a lock).
     std::uint64_t seq = 0;
@@ -129,11 +130,11 @@ util::Status LabeledStore::put(os::Pid pid, Record record) {
   record.labels = existing.labels;
   record.version = existing.version + 1;
   record.updated_micros = clock_.now();
-  shard.index.remove_fields(key, existing, specs);
+  shard.index.remove_fields(it, specs);
   const RecordRef previous = std::exchange(
       it->second, std::make_shared<const Record>(std::move(record)));
   const Record& updated = *it->second;
-  shard.index.add_fields(key, updated, specs);
+  shard.index.add_fields(it, specs);
   std::uint64_t seq = 0;
   if (mutation_log_ != nullptr) {
     util::Json op;
@@ -205,7 +206,7 @@ util::Status LabeledStore::remove(os::Pid pid, const std::string& collection,
   // Vandalism is a write (§3.1): deletion needs write authority.
   if (auto status = who.value().check_write(existing.labels); !status.ok())
     return status;
-  shard.index.remove(key, existing, specs);
+  shard.index.remove(it, specs);  // postings go before their node
   const RecordRef removed = std::move(it->second);  // freed after the lock
   shard.records.erase(it);
   std::uint64_t seq = 0;
@@ -230,7 +231,7 @@ void LabeledStore::scan_shards(
   // The scan's lower bound: strictly after the cursor when it dominates
   // min_id, else at min_id inclusive.
   const bool strict = !start_after.empty() && start_after >= options.min_id;
-  const std::string& low = strict ? start_after : options.min_id;
+  const Key low{collection, strict ? start_after : options.min_id};
 
   const auto in_range = [&](const Key& key) {
     return key.first == collection &&
@@ -261,14 +262,12 @@ void LabeledStore::scan_shards(
       }
       return ++emitted < per_shard_cap;
     };
-    // Ascending walk of one posting list's [low, max_id] slice.
-    const auto walk_postings = [&](const std::vector<Key>& keys) {
-      auto it = strict ? std::upper_bound(keys.begin(), keys.end(),
-                                          Key{collection, low})
-                       : std::lower_bound(keys.begin(), keys.end(),
-                                          Key{collection, low});
-      for (; it != keys.end() && in_range(*it); ++it) {
-        const RecordRef& record = shard.records.at(*it);
+    // Ascending walk of one posting list's [low, max_id] slice; each
+    // posting is the row's node, so the row costs no second lookup.
+    const auto walk_postings = [&](const PostingList& list) {
+      for (auto it = posting_seek(list, low, strict);
+           it != list.end() && in_range((*it)->first); ++it) {
+        const RecordRef& record = (*it)->second;
         if (!bound.admits(record->labels.secrecy)) continue;
         if (!emit(record)) return;
       }
@@ -277,8 +276,8 @@ void LabeledStore::scan_shards(
     // Per-shard refinement: with both posting lists available, walk the
     // shorter one; an absent list proves zero matches in this shard.
     PlanKind kind = plan.kind;
-    const std::vector<Key>* field_list = nullptr;
-    const std::vector<Key>* owner_list = nullptr;
+    const PostingList* field_list = nullptr;
+    const PostingList* owner_list = nullptr;
     if (kind == PlanKind::kFieldIndex) {
       const auto fit = shard.index.by_field.find(
           ShardIndex::FieldKey{collection, plan.field, plan.value});
@@ -320,11 +319,11 @@ void LabeledStore::scan_shards(
         // are never touched at all — simultaneously the perf win and the
         // §3.5 story (unreadable records cost nothing observable).
         bool any_skipped = false;
-        std::vector<const std::vector<Key>*> groups;
-        for (const auto& [label, keys] : shard.index.by_label) {
+        std::vector<const PostingList*> groups;
+        for (const auto& [label, list] : shard.index.by_label) {
           util::telemetry_count(label_groups_checked_);
           if (bound.admits(label)) {
-            groups.push_back(&keys);
+            groups.push_back(&list);
           } else {
             any_skipped = true;
             util::telemetry_count(label_groups_skipped_);
@@ -333,9 +332,8 @@ void LabeledStore::scan_shards(
         if (!any_skipped) {
           // Everything visible: the record map is already in key order,
           // so scan it directly (no per-record label work at all).
-          auto it = strict
-                        ? shard.records.upper_bound(Key{collection, low})
-                        : shard.records.lower_bound(Key{collection, low});
+          auto it = strict ? shard.records.upper_bound(low)
+                           : shard.records.lower_bound(low);
           for (; it != shard.records.end() && in_range(it->first); ++it)
             if (!emit(it->second)) break;
           break;
@@ -343,25 +341,23 @@ void LabeledStore::scan_shards(
         // Merge the visible groups' slices in ascending key order (the
         // groups partition the records, so no key appears twice).
         struct Range {
-          std::vector<Key>::const_iterator it, end;
+          PostingList::const_iterator it, end;
         };
         std::vector<Range> ranges;
-        for (const auto* keys : groups) {
-          auto it = strict ? std::upper_bound(keys->begin(), keys->end(),
-                                              Key{collection, low})
-                           : std::lower_bound(keys->begin(), keys->end(),
-                                              Key{collection, low});
-          if (it != keys->end() && in_range(*it))
-            ranges.push_back(Range{it, keys->end()});
+        for (const PostingList* list : groups) {
+          const auto it = posting_seek(*list, low, strict);
+          if (it != list->end() && in_range((*it)->first))
+            ranges.push_back(Range{it, list->end()});
         }
         while (!ranges.empty()) {
           std::size_t min_i = 0;
           for (std::size_t i = 1; i < ranges.size(); ++i)
-            if (*ranges[i].it < *ranges[min_i].it) min_i = i;
-          if (!emit(shard.records.at(*ranges[min_i].it))) break;
+            if ((*ranges[i].it)->first < (*ranges[min_i].it)->first)
+              min_i = i;
+          if (!emit((*ranges[min_i].it)->second)) break;
           ++ranges[min_i].it;
           if (ranges[min_i].it == ranges[min_i].end ||
-              !in_range(*ranges[min_i].it))
+              !in_range((*ranges[min_i].it)->first))
             ranges.erase(ranges.begin() +
                          static_cast<std::ptrdiff_t>(min_i));
         }
@@ -610,7 +606,7 @@ std::vector<Record> LabeledStore::export_owned_by(
     const util::ReadLock lock(shard.mutex);
     const auto it = shard.index.by_owner.find(owner);
     if (it == shard.index.by_owner.end()) continue;
-    for (const Key& key : it->second) refs.push_back(shard.records.at(key));
+    for (const Posting node : it->second) refs.push_back(node->second);
   }
   std::sort(refs.begin(), refs.end(), key_less);
   std::vector<Record> out;
@@ -647,17 +643,17 @@ util::Status LabeledStore::apply_wal(const util::Json& op) {
     util::WriteLock lock(shard.mutex);
     const auto it = shard.records.find(key);
     if (it == shard.records.end()) {
-      shard.index.add(key, *record, specs);
-      shard.records.emplace(key, std::move(record));
+      shard.index.add(shard.records.emplace(key, std::move(record)).first,
+                      specs);
     } else {
       // Owner and labels are immutable through put(), but snapshot/WAL
       // overlap can replay a put over a snapshot record from an earlier
       // life of the key (remove + recreate straddling the boundary), and
       // the data fields can always differ — unindex the old state in
       // full and index the new one.
-      shard.index.remove(key, *it->second, specs);
-      shard.index.add(key, *record, specs);
+      shard.index.remove(it, specs);
       it->second = std::move(record);
+      shard.index.add(it, specs);
     }
     return util::ok_status();
   }
@@ -667,7 +663,7 @@ util::Status LabeledStore::apply_wal(const util::Json& op) {
     util::WriteLock lock(shard.mutex);
     const auto it = shard.records.find(key);
     if (it == shard.records.end()) return util::ok_status();  // idempotent
-    shard.index.remove(key, *it->second, specs);
+    shard.index.remove(it, specs);  // postings go before their node
     shard.records.erase(it);
     return util::ok_status();
   }
@@ -692,19 +688,23 @@ util::Status LabeledStore::load_json(const util::Json& snapshot)
         std::make_shared<const Record>(std::move(parsed).value());
     Key key{record->collection, record->id};
     const std::size_t shard = shard_index(key);
-    if (records[shard].contains(key))
+    const auto [node, inserted] =
+        records[shard].try_emplace(std::move(key), std::move(record));
+    if (!inserted)
       return util::make_error("store.parse", "duplicate record key");
-    indexes[shard].add(key, *record, specs);
-    records[shard].emplace(std::move(key), std::move(record));
+    indexes[shard].add(node, specs);
   }
   std::array<std::unique_lock<std::shared_mutex>, kShardCount> locks;
   for (std::size_t i = 0; i < kShardCount; ++i)
     // w5flow-allow(native): the all-shards swap takes every sibling
     // shard lock in index order — the documented equal-rank protocol.
     locks[i] = std::unique_lock(shards_[i].mutex.native());
+  // swap, not move assignment: the new postings point at records[i]'s
+  // nodes, and only swap promises to keep such iterators valid. The old
+  // maps leave with the locals, freed after the locks are released.
   for (std::size_t i = 0; i < kShardCount; ++i) {
-    shards_[i].records = std::move(records[i]);
-    shards_[i].index = std::move(indexes[i]);
+    shards_[i].records.swap(records[i]);
+    std::swap(shards_[i].index, indexes[i]);
   }
   return util::ok_status();
 }

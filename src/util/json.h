@@ -71,6 +71,8 @@ class Json {
   void push_back(Json value);  // makes this an array
 
   std::string dump(bool pretty = false) const;
+  // Appends the compact dump (the bytes dump() returns) to out.
+  void dump_to(std::string& out) const { dump_to(out, false, 0); }
 
   static Result<Json> parse(std::string_view text);
 

@@ -220,10 +220,10 @@ TEST_F(AllocBudgetTest, FiftyRowListPages) {
   expect_within("app_list",
                 request(Method::kGet, "/dev/photoco/photos/list?limit=50",
                         "alice"),
-                200, 409);
+                200, 147);
   expect_within("data_list",
                 request(Method::kGet, "/data/photos?limit=50", "alice"), 200,
-                343);
+                133);
 }
 
 }  // namespace

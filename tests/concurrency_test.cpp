@@ -9,8 +9,13 @@
 // two), and no cross-user leaks (the perimeter blocks bob from alice's
 // secrets no matter how many threads are racing).
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 
 #include "core/gateway.h"
 #include "core/provider.h"
+#include "core/user.h"
 #include "difc/flow.h"
 #include "difc/label_table.h"
 #include "difc/tag_registry.h"
@@ -271,6 +277,131 @@ TEST(StoreConcurrencyTest, CursorPagesSeeWholeRowsWhileWritersSwapVersions) {
   auto final_rows = store.query(os::kKernelPid, "photos", all);
   ASSERT_TRUE(final_rows.ok());
   EXPECT_EQ(final_rows.value().size(), static_cast<std::size_t>(kKeys));
+}
+
+// ---- Signup against lookups --------------------------------------------------
+
+// Signup runs the 1,000-round password hash; every app request looks its
+// viewer up in the same directory. One thread signs users up while
+// another times lookups of an existing user: the worst lookup during a
+// signup must not grow with the hash. Gated as a ratio to the hash time
+// measured alone, so the host's speed cancels.
+TEST(UserDirectoryConcurrencyTest, LookupsDoNotWaitForPasswordHashing) {
+  constexpr int kSignups = 20;
+  using Clock = std::chrono::steady_clock;
+  const auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  const auto involuntary_switches = [] {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return usage.ru_nivcsw;
+  };
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  os::Kernel kernel;
+  platform::UserDirectory users(kernel);
+  ASSERT_TRUE(users.create("alice", "", "password").ok());
+
+  std::vector<double> hash_us;
+  for (int i = 0; i < 9; ++i) {
+    const auto start = Clock::now();
+    const std::string digest = platform::hash_password("salt", "password");
+    hash_us.push_back(micros(Clock::now() - start));
+    ASSERT_FALSE(digest.empty());
+  }
+  const double hash_median = median(hash_us);
+
+  // The threads are pinned to two cores: on one, a lookup would queue
+  // behind the signup's CPU time whatever the locking.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  std::vector<int> cores;
+  for (int c = 0; c < CPU_SETSIZE && cores.size() < 2; ++c)
+    if (CPU_ISSET(c, &allowed)) cores.push_back(c);
+  if (cores.size() < 2) GTEST_SKIP() << "needs two cores";
+  const auto pin = [](int core) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(core, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+  };
+
+  // One round: kSignups signups against a reader that charges each
+  // lookup to every signup it overlapped (those that had begun before it
+  // ended and had not finished before it began). Each signup waits for a
+  // lookup that began after the last one ended, so a reader descheduled
+  // for a while inflates one signup's figure, not a run of them. Returns
+  // the worst lookup of each signup the reader saw.
+  const auto round = [&](int n) {
+    std::atomic<int> begun{0};
+    std::atomic<int> finished{0};
+    std::atomic<int> caught_up{0};
+    std::atomic<bool> reading{false};
+    std::atomic<bool> done{false};
+    std::vector<double> worst(kSignups, 0.0);
+    std::vector<int> samples(kSignups, 0);
+    std::thread reader([&] {
+      pin(cores[1]);
+      reading.store(true);
+      while (!done.load()) {
+        const int first = finished.load();
+        const long preempted = involuntary_switches();
+        const auto start = Clock::now();
+        const platform::UserAccount* account = users.find("alice");
+        const double took = micros(Clock::now() - start);
+        const int last = begun.load();
+        EXPECT_NE(account, nullptr);
+        // Waiting on a lock is a voluntary switch. A lookup the scheduler
+        // preempted (the signup thread may share its core) timed the CPU
+        // queue, not the directory, and is left out.
+        if (involuntary_switches() == preempted) {
+          for (int i = first; i < last; ++i) {
+            worst[static_cast<std::size_t>(i)] =
+                std::max(worst[static_cast<std::size_t>(i)], took);
+            ++samples[static_cast<std::size_t>(i)];
+          }
+        }
+        caught_up.store(first);
+      }
+    });
+    while (!reading.load()) std::this_thread::yield();
+    for (int i = 0; i < kSignups; ++i) {
+      begun.store(i + 1);
+      EXPECT_TRUE(users
+                      .create("user" + std::to_string(n) + "-" +
+                                  std::to_string(i),
+                              "", "password")
+                      .ok());
+      finished.store(i + 1);
+      while (caught_up.load() < i + 1) std::this_thread::yield();
+    }
+    done.store(true);
+    reader.join();
+    std::vector<double> seen;
+    for (int i = 0; i < kSignups; ++i)
+      if (samples[static_cast<std::size_t>(i)] > 0)
+        seen.push_back(worst[static_cast<std::size_t>(i)]);
+    return seen;
+  };
+
+  // A round in which the host preempted the reader throughout is run
+  // again.
+  std::vector<double> sampled;
+  pin(cores[0]);
+  for (int n = 0; n < 5 && sampled.size() < kSignups / 2; ++n)
+    sampled = round(n);
+  pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+  ASSERT_GE(sampled.size(), static_cast<std::size_t>(kSignups / 2))
+      << "the reader ran during too few signups";
+  const double worst_median = median(sampled);
+  std::printf("user_directory: hash %.1f us alone, worst lookup per signup "
+              "%.1f us (median of %zu)\n",
+              hash_median, worst_median, sampled.size());
+  EXPECT_LE(worst_median, 0.25 * hash_median)
+      << "lookups wait behind the password hash";
 }
 
 // ---- Flow-memo epoch invalidation -------------------------------------------

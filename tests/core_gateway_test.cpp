@@ -469,5 +469,34 @@ TEST_F(GatewayTest, MultiOwnerResponseNeedsAllDeclassifiers) {
             403);
 }
 
+TEST_F(GatewayTest, SessionWhoseAccountIsGoneAnswers401) {
+  // A session validated just before its account is deleted reaches the
+  // account lookup after the delete (pooled dispatch, several loops or
+  // concurrent handle() callers). Each route that acts as the viewer
+  // answers like an anonymous request, and the store is untouched.
+  ASSERT_EQ(provider_.http(Method::kPost, "/data/notes/n1", R"({"k":1})",
+                           bob_).status,
+            201);
+  ASSERT_EQ(provider_.http(Method::kPost, "/invite", "to=bob&app=devA/view",
+                           alice_).status,
+            201);
+  ASSERT_TRUE(provider_.users().remove("bob"));
+
+  EXPECT_EQ(provider_.http(Method::kPost, "/data/notes/n2", R"({"k":2})",
+                           bob_).status,
+            401);
+  EXPECT_EQ(provider_.http(Method::kDelete, "/data/notes/n1", "", bob_)
+                .status,
+            401);
+  EXPECT_EQ(
+      provider_.http(Method::kPost, "/accept", "app=devA/view", bob_).status,
+      401);
+  EXPECT_TRUE(
+      provider_.store().get(os::kKernelPid, "notes", "n1").ok());
+  EXPECT_FALSE(
+      provider_.store().get(os::kKernelPid, "notes", "n2").ok());
+  EXPECT_FALSE(provider_.policies().get("bob").grants_write("devA/view"));
+}
+
 }  // namespace
 }  // namespace w5::platform

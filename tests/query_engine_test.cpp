@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "store/labeled_store.h"
 #include "store/query.h"
+#include "util/rng.h"
 
 namespace w5::store {
 namespace {
@@ -363,6 +365,182 @@ TEST_F(QueryEngineTest, PlannerNeverChangesResults) {
     ASSERT_TRUE(via_auto.ok());
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(ids(via_auto.value()), ids(via_scan.value())) << "case " << i;
+  }
+}
+
+TEST_F(QueryEngineTest, PostingsMatchTheScanThroughChurn) {
+  // Postings point at their rows' map nodes (index.h), so every mutation
+  // path must keep them in step with the map: create, overwrite, remove,
+  // re-create of the same key, a WAL put that moves a key to another
+  // owner and label, a WAL remove, snapshot restores and an index
+  // registered mid-stream. After every op each posting walk (owner,
+  // field, owner+field, label groups, export) must page exactly like the
+  // scan that walks the record map itself — same rows, bytes and cursors.
+  const Tag ta = kernel_.create_tag(kKernelPid, "sec(ta)",
+                                    TagPurpose::kSecrecy).value();
+  const Tag tb = kernel_.create_tag(kKernelPid, "sec(tb)",
+                                    TagPurpose::kSecrecy).value();
+  const std::vector<Label> labels{Label{}, Label{ta}, Label{tb},
+                                  Label{ta, tb}, Label{secret_}};
+  const std::vector<std::string> owners{"amy", "bob", "cat"};
+  const std::vector<std::string> collections{"c1", "c2"};
+  const std::vector<std::string> cities{"paris", "tokyo", "lima"};
+  // Sees the groups labeled {} and {ta} at Raise::kNo, so its scans walk
+  // the label-group merge rather than the record map.
+  const Pid reader = kernel_.spawn_trusted("reader", LabelState({ta}, {}, {}));
+  ASSERT_TRUE(store_.create_index("c1", "city").ok());
+
+  util::Rng rng(2606);
+  const auto pick = [&rng](const auto& from) {
+    return from[rng.next_below(from.size())];
+  };
+  const auto random_record = [&](const std::string& collection,
+                                 const std::string& id) {
+    Record record;
+    record.collection = collection;
+    record.id = id;
+    record.owner = pick(owners);
+    record.labels = ObjectLabels{pick(labels), {}};
+    switch (rng.next_below(4)) {
+      case 0:
+        break;  // no city: unindexed
+      case 1:
+        record.data["city"] = 7;  // non-string: unindexed
+        break;
+      default:
+        record.data["city"] = pick(cities);
+    }
+    record.data["n"] = static_cast<std::int64_t>(rng.next_below(1000));
+    return record;
+  };
+
+  // Every page of a query, flattened to the rows' bytes and each cursor.
+  const auto pages = [&](Pid pid, const std::string& collection,
+                         QueryOptions options, Raise raise) {
+    std::vector<std::string> out;
+    options.limit = 3;
+    for (int guard = 0; guard < 100; ++guard) {
+      auto page = store_.query_page(pid, collection, options, raise);
+      EXPECT_TRUE(page.ok()) << page.error().code;
+      if (!page.ok()) break;
+      for (const Record& row : page.value().records)
+        out.push_back(row.to_json().dump());
+      out.push_back("cursor=" + page.value().next_cursor);
+      if (page.value().next_cursor.empty()) break;
+      options.cursor = page.value().next_cursor;
+    }
+    return out;
+  };
+  const auto scan_of = [](QueryOptions options) {
+    options.planner = PlannerMode::kScanOnly;
+    return options;
+  };
+  const auto check = [&](int step) {
+    for (const std::string& collection : collections) {
+      for (const std::string& owner : owners) {
+        QueryOptions by_owner;
+        by_owner.owner = owner;
+        EXPECT_EQ(pages(kKernelPid, collection, by_owner, Raise::kYes),
+                  pages(kKernelPid, collection, scan_of(by_owner),
+                        Raise::kYes))
+            << "owner " << owner << " in " << collection << " at " << step;
+        // The reader's owner walk admits per row; the kernel's scan with
+        // the same bound as a predicate walks the map.
+        QueryOptions bounded = scan_of(by_owner);
+        bounded.predicate = [ta](const Record& r) {
+          return r.labels.secrecy.subset_of(Label{ta});
+        };
+        EXPECT_EQ(pages(reader, collection, by_owner, Raise::kNo),
+                  pages(kKernelPid, collection, bounded, Raise::kYes))
+            << "reader owner " << owner << " in " << collection << " at "
+            << step;
+      }
+      for (const std::string& city : cities) {
+        QueryOptions by_city;
+        by_city.eq_field = "city";
+        by_city.eq_value = city;
+        EXPECT_EQ(pages(kKernelPid, collection, by_city, Raise::kYes),
+                  pages(kKernelPid, collection, scan_of(by_city),
+                        Raise::kYes))
+            << "city " << city << " in " << collection << " at " << step;
+        QueryOptions both = by_city;
+        both.owner = pick(owners);
+        EXPECT_EQ(pages(kKernelPid, collection, both, Raise::kYes),
+                  pages(kKernelPid, collection, scan_of(both), Raise::kYes))
+            << "city " << city << " owner " << both.owner << " in "
+            << collection << " at " << step;
+      }
+      QueryOptions bounded = scan_of({});
+      bounded.predicate = [ta](const Record& r) {
+        return r.labels.secrecy.subset_of(Label{ta});
+      };
+      EXPECT_EQ(pages(reader, collection, scan_of({}), Raise::kNo),
+                pages(kKernelPid, collection, bounded, Raise::kYes))
+          << "label groups in " << collection << " at " << step;
+    }
+    for (const std::string& owner : owners) {
+      std::vector<std::string> exported;
+      for (const Record& row : store_.export_owned_by(owner))
+        exported.push_back(row.to_json().dump());
+      std::vector<std::string> scanned;
+      for (const std::string& collection : collections) {
+        QueryOptions by_owner;
+        by_owner.owner = owner;
+        const auto rows =
+            store_.query(kKernelPid, collection, scan_of(by_owner));
+        EXPECT_TRUE(rows.ok());
+        if (!rows.ok()) continue;
+        for (const Record& row : rows.value())
+          scanned.push_back(row.to_json().dump());
+      }
+      EXPECT_EQ(exported, scanned) << "export " << owner << " at " << step;
+    }
+  };
+
+  util::Json saved = store_.to_json();
+  for (int step = 0; step < 240; ++step) {
+    const std::string collection = pick(collections);
+    char id[8];
+    std::snprintf(id, sizeof id, "k%02d",
+                  static_cast<int>(rng.next_below(24)));
+    const bool exists = store_.get(kKernelPid, collection, id).ok();
+    const std::uint64_t roll = rng.next_below(100);
+    if (step == 120) {
+      ASSERT_TRUE(store_.create_index("c2", "city").ok());
+    } else if (roll < 40) {
+      // Create, or overwrite (owner and labels stay, data moves).
+      ASSERT_TRUE(store_.put(kKernelPid, random_record(collection, id)).ok());
+    } else if (roll < 55) {
+      if (exists) {
+        ASSERT_TRUE(store_.remove(kKernelPid, collection, id).ok());
+      }
+    } else if (roll < 65) {
+      // Re-create: the same key comes back in a new node, perhaps with
+      // another owner and label.
+      if (exists) {
+        ASSERT_TRUE(store_.remove(kKernelPid, collection, id).ok());
+      }
+      ASSERT_TRUE(store_.put(kKernelPid, random_record(collection, id)).ok());
+    } else if (roll < 80) {
+      // A replayed put may re-home a live key to another owner and label.
+      util::Json op;
+      op["op"] = "store.put";
+      op["record"] = random_record(collection, id).to_json();
+      ASSERT_TRUE(store_.apply_wal(op).ok());
+    } else if (roll < 88) {
+      util::Json op;
+      op["op"] = "store.remove";
+      op["collection"] = collection;
+      op["id"] = id;
+      ASSERT_TRUE(store_.apply_wal(op).ok());
+    } else if (roll < 94) {
+      saved = store_.to_json();
+    } else {
+      // Restore a snapshot: the current state or an older one.
+      ASSERT_TRUE(store_.load_json(saved).ok());
+    }
+    check(step);
+    if (HasFailure()) return;
   }
 }
 
