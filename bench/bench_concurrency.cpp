@@ -332,10 +332,6 @@ void BM_IdleConnectionCpu(benchmark::State& state) {
           [](const w5::net::HttpRequest&) {
             return HttpResponse::text(200, "ok");
           }),
-      [](std::function<void()> job) {
-        job();
-        return true;
-      },
       {}, {}, {}, &stats, &conn_stats);
   w5::net::TcpListener listener;
   if (!listener.listen(0, 1024).ok()) std::abort();

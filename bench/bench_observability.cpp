@@ -196,7 +196,7 @@ BENCHMARK(BM_ObservedPipelineEventLoop)->Threads(1)->Threads(4)
     ->UseRealTime();
 
 // A /metrics scrape under load: how much does reading the plane cost
-// (registry walk + gauge refresh across 16 shards, pool, flow cache)?
+// (registry walk + gauge refresh across 16 shards, flow cache)?
 void BM_MetricsScrape(benchmark::State& state) {
   SharedFixture& fx = fixture();
   const std::string& session = fx.sessions[0];

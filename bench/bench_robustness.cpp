@@ -7,7 +7,7 @@
 //       p99_us, error_rate, faults_injected counters (fault delays are
 //       virtual — recorded, not slept — so the timing isolates the
 //       robustness machinery itself, not the injected waits)
-//   BM_PooledChaos — a worker pool serving hundreds of faulty
+//   BM_PooledChaos — four threads serving hundreds of faulty
 //       connections end to end; hung_workers must be 0 afterwards (no
 //       fault pattern may pin a worker forever)
 //
@@ -16,15 +16,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/fault.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/transport.h"
-#include "os/thread_pool.h"
 #include "util/clock.h"
 
 namespace {
@@ -117,24 +118,31 @@ void BM_PooledChaos(benchmark::State& state) {
     HttpServer server([](const HttpRequest& request) {
       return HttpResponse::text(200, "echo:" + request.body);
     });
-    w5::os::ThreadPool pool(4);
-    std::atomic<std::uint64_t> done{0};
+    constexpr int kWorkers = 4;
     constexpr int kConnections = 200;
-    for (int i = 0; i < kConnections; ++i) {
-      const std::uint64_t seed =
-          (round << 32) + static_cast<std::uint64_t>(i);
-      pool.submit([&server, &done, &profile, seed, i] {
-        FaultStats faults;
-        (void)one_request(server, seed, profile, i, &faults);
-        done.fetch_add(1);
+    std::atomic<int> next{0};
+    std::atomic<std::uint64_t> done{0};
+    std::array<bool, kWorkers> finished{};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        for (int i = next.fetch_add(1); i < kConnections;
+             i = next.fetch_add(1)) {
+          const std::uint64_t seed =
+              (round << 32) + static_cast<std::uint64_t>(i);
+          FaultStats faults;
+          (void)one_request(server, seed, profile, i, &faults);
+          done.fetch_add(1);
+        }
+        finished[w] = true;
       });
     }
-    // drain() returning at all is the liveness claim: no injected fault
+    // The join returning at all is the liveness claim: no injected fault
     // pattern may leave a worker stuck mid-connection.
-    pool.drain();
-    hung_workers += pool.active();
+    for (auto& worker : workers) worker.join();
+    hung_workers += static_cast<std::uint64_t>(
+        std::count(finished.begin(), finished.end(), false));
     served += done.load();
-    pool.shutdown();
     ++round;
   }
   state.counters["hung_workers"] = static_cast<double>(hung_workers);

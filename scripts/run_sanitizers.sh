@@ -6,7 +6,7 @@
 #   scripts/run_sanitizers.sh asan       # just the ASan+UBSan leg
 #
 # TSan runs the tests that actually spin threads (the provider hammer,
-# the TCP end-to-end serving path, thread-pool and IPC tests, the
+# the TCP end-to-end serving path, IPC tests, the
 # fault-injection/robustness chaos suites — injected resets and reaping
 # race real worker threads — durable puts parked on the WAL flusher,
 # and metasearch hops sharing a slow peer); running the whole suite
@@ -36,7 +36,7 @@ run_tsan() {
   cmake --build build-tsan -j "$jobs" --target w5_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/w5_tests \
-    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*ThreadPool*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*:*DurableServe*:WalTest.OnDurable*:DurableStoreTest.*:*Metasearch*'
+    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*:*DurableServe*:WalTest.OnDurable*:DurableStoreTest.*:*Metasearch*'
 }
 
 run_asan() {

@@ -454,7 +454,7 @@ net::HttpResponse Gateway::route_trace(const net::HttpRequest&,
 }
 
 net::HttpResponse Gateway::route_statusz(const net::HttpRequest&) {
-  refresh_runtime_gauges();  // breaker/pool gauges feed the page
+  refresh_runtime_gauges();  // breaker gauges feed the page
   return net::HttpResponse::json(200, build_statusz(provider_).dump());
 }
 
@@ -504,31 +504,13 @@ void Gateway::refresh_runtime_gauges() {
   metrics.gauge("w5_store_queries{verdict=\"denied\"}")
       .set(as_i64(query.queries_denied));
 
-  // pool_if_started(): a scrape must never spawn the worker pool.
-  if (os::ThreadPool* pool = provider_.pool_if_started()) {
-    metrics.gauge("w5_pool_workers").set(as_i64(pool->size()));
-    metrics.gauge("w5_pool_active").set(as_i64(pool->active()));
-    metrics.gauge("w5_pool_queue_depth").set(as_i64(pool->pending()));
-    metrics.gauge("w5_pool_max_queue_depth")
-        .set(as_i64(pool->max_queue_depth()));
-    metrics.gauge("w5_pool_jobs_submitted")
-        .set(as_i64(pool->jobs_submitted()));
-    metrics.gauge("w5_pool_jobs_completed")
-        .set(as_i64(pool->jobs_completed()));
-    metrics.gauge("w5_pool_jobs_rejected")
-        .set(as_i64(pool->jobs_rejected()));
-    metrics.gauge("w5_pool_queue_limit").set(as_i64(pool->queue_limit()));
-  }
-
-  // serve()'s robustness counters (DESIGN.md §12): slow-client reaping,
-  // load shedding, and oversize rejections at the front door.
+  // serve()'s robustness counters (DESIGN.md §12): slow-client reaping
+  // and oversize rejections at the front door.
   const net::ServerStats& net_stats = provider_.server_stats();
   metrics.gauge("w5_net_io_timeouts")
       .set(as_i64(net_stats.timeouts_total.load()));
   metrics.gauge("w5_net_connections_reaped")
       .set(as_i64(net_stats.reaped_total.load()));
-  metrics.gauge("w5_net_connections_shed")
-      .set(as_i64(net_stats.shed_total.load()));
   metrics.gauge("w5_net_requests_handled")
       .set(as_i64(net_stats.handled_total.load()));
   metrics.gauge("w5_net_rejected{status=\"413\"}")
@@ -961,7 +943,7 @@ bool Gateway::module_components_trusted(const Module& module,
 net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
                                      const net::RouteParams& params) {
   // Deadline check before spawning a labeled process: a request that
-  // queued past its budget gets 504 instead of burning a worker on an
+  // queued past its budget gets 504 instead of spending its loop on an
   // answer nobody is waiting for (DESIGN.md §12).
   if (RequestContext::deadline_expired()) {
     if (deadline_exceeded_ != nullptr) deadline_exceeded_->inc();

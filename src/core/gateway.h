@@ -99,8 +99,8 @@ class Gateway {
                                     const std::string& viewer,
                                     const std::string& module_id);
 
-  // Copies component-local counters (store shards, flow cache, thread
-  // pool, audit, traces) into registry gauges; called per /metrics scrape.
+  // Copies component-local counters (store shards, flow cache, audit,
+  // traces) into registry gauges; called per /metrics scrape.
   void refresh_runtime_gauges();
 
   Provider& provider_;

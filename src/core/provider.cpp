@@ -94,11 +94,7 @@ Provider::Provider(ProviderConfig config, const util::Clock& clock)
 }
 
 Provider::~Provider() {
-  // Workers may hold references into members destroyed below; stop them
-  // first.
-  if (pool_ != nullptr) pool_->shutdown();
-  // Then the durability plane: the last worker mutations are enqueued by
-  // now, and close() drains them to disk before the components that
+  // close() drains the last mutations to disk before the components that
   // published them are torn down.
   if (durable_ != nullptr) durable_->close();
 }
@@ -147,15 +143,6 @@ util::Status Provider::checkpoint() {
   if (durable_ == nullptr)
     return util::make_error("wal.checkpoint", "durability disabled");
   return durable_->checkpoint();
-}
-
-os::ThreadPool& Provider::worker_pool() {
-  std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<os::ThreadPool>(config_.worker_threads,
-                                             config_.max_queued_connections);
-    pool_ptr_.store(pool_.get(), std::memory_order_release);
-  });
-  return *pool_;
 }
 
 std::size_t Provider::serve(net::TcpListener& listener) {
@@ -254,32 +241,15 @@ std::size_t Provider::serve(net::TcpListener& listener) {
         flight_recorder_.record(std::move(slow));
     }
   };
-  // Inline dispatch runs handlers on the owning loop (no handoff, no
-  // 503 shed — overload becomes TCP backpressure) and starts no workers.
-  // Pooled dispatch keeps blocking handlers off the loops; try_submit
-  // refuses once max_queued_connections jobs wait, and the reactor
-  // answers 503 + Retry-After (admission control, DESIGN.md §12).
-  os::ThreadPool* pool = config_.app_dispatch == AppDispatch::kPooled
-                             ? &worker_pool()
-                             : nullptr;
-  net::BoundedExecutor dispatch = [](std::function<void()> job) {
-    job();
-    return true;
-  };
-  if (pool != nullptr)
-    dispatch = [pool](std::function<void()> job) {
-      return pool->try_submit(std::move(job));
-    };
+  // Handlers run inline on the owning loop: no handoff and no shed, so
+  // overload becomes TCP backpressure (DESIGN.md §12).
   net::EventLoopHttpServer server(
       [this](const net::HttpRequest& request, net::Responder respond) {
         serve_one(request, std::move(respond));
       },
-      std::move(dispatch), config_.http_limits, config_.http_robustness,
-      loop_options, &server_stats_, &conn_stats_);
-  const std::size_t accepted = server.serve(listener);
-  // In-flight handlers post into the server's mailboxes.
-  if (pool != nullptr) pool->drain();
-  return accepted;
+      config_.http_limits, config_.http_robustness, loop_options,
+      &server_stats_, &conn_stats_);
+  return server.serve(listener);
 }
 
 void Provider::serve_one(const net::HttpRequest& request,

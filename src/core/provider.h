@@ -6,9 +6,7 @@
 // bench, example, or federation peer does goes through this type.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/audit.h"
@@ -26,7 +24,6 @@
 #include "net/tcp.h"
 #include "os/filesystem.h"
 #include "os/kernel.h"
-#include "os/thread_pool.h"
 #include "store/durable_store.h"
 #include "store/labeled_store.h"
 #include "util/clock.h"
@@ -76,22 +73,6 @@ struct FederatedPage {
 using FederatedSearchFn = std::function<util::Result<FederatedPage>(
     os::Pid pid, const std::string& viewer, const FederatedQuery& query)>;
 
-// Where the reactor (net::EventLoopHttpServer, DESIGN.md §15) runs
-// application handlers.
-enum class AppDispatch : std::uint8_t {
-  // On the owning I/O loop, synchronously. No cross-thread handoff — the
-  // right default for the fast in-memory gateway path; overload shows up
-  // as TCP backpressure (the loop stops reading) rather than 503s.
-  kInline,
-  // On the worker pool, completing through the loop's mailbox. Pays two
-  // context switches per request but keeps blocking handlers (slow
-  // module calls, /fed/search fan-out) off the I/O loops, and sheds
-  // 503 + Retry-After when the pool queue hits max_queued_connections.
-  // fsync-mode durability needs neither: a durable write parks its
-  // connection, not the thread (Provider::serve).
-  kPooled,
-};
-
 struct ProviderConfig {
   std::string name = "w5.org";
   util::Micros session_ttl_micros = 30ll * 60 * 1000 * 1000;  // 30 min
@@ -112,10 +93,6 @@ struct ProviderConfig {
   };
   bool strip_javascript = true;  // §3.5 client-side support
   net::ParserLimits http_limits;
-  // Worker threads for AppDispatch::kPooled; handlers queue beyond this
-  // (bounded concurrency is the §3.5 admission control, not
-  // thread-per-client). Unused under the default inline dispatch.
-  std::size_t worker_threads = 8;
   // ---- Robustness (DESIGN.md §12) ----------------------------------------
   // Slow-client reaping defaults: a client gets 10 s to deliver its
   // header block, 30 s for the declared body, and 10 s to drain each
@@ -125,17 +102,11 @@ struct ProviderConfig {
       .body_deadline_micros = 30'000'000,
       .write_timeout_micros = 10'000'000,
   };
-  // Under AppDispatch::kPooled, requests allowed to wait for a worker;
-  // beyond this the reactor sheds with 503 + Retry-After instead of
-  // queueing unboundedly.
-  std::size_t max_queued_connections = 256;
   // ---- Serving (DESIGN.md §15) --------------------------------------------
   // Reactor I/O loop threads. One loop multiplexes tens of thousands of
-  // connections; raise it to use more cores.
+  // connections and runs their handlers inline; raise it to use more
+  // cores.
   std::size_t io_threads = 1;
-  // Reactor handler placement: inline on the loop by default; kPooled
-  // offloads to the worker pool for blocking handlers.
-  AppDispatch app_dispatch = AppDispatch::kInline;
   // Per-request wall-clock budget stamped into RequestContext at the
   // gateway (tightened by a client X-W5-Deadline-Ms header; 0 disables).
   util::Micros request_deadline_micros = 30'000'000;
@@ -214,8 +185,8 @@ class Provider {
                                   const std::string& password);
 
   // Full HTTP round trip through the gateway. Thread-safe: reactor loops
-  // and workers call this concurrently; all provider state is internally
-  // locked (see DESIGN.md "Concurrency model").
+  // and in-process callers call this concurrently; all provider state is
+  // internally locked (see DESIGN.md "Concurrency model").
   net::HttpResponse handle(const net::HttpRequest& request);
 
   // Serves real TCP clients on the reactor, config().io_threads loops.
@@ -227,16 +198,7 @@ class Provider {
   // instead.
   std::size_t serve(net::TcpListener& listener);
 
-  // The pool behind AppDispatch::kPooled, created by the first serve()
-  // that dispatches to it (inline dispatch spawns no workers).
-  os::ThreadPool& worker_pool();
-  // Non-spawning view for /metrics: null until worker_pool() has run, so
-  // a scrape never starts threads as a side effect.
-  os::ThreadPool* pool_if_started() noexcept {
-    return pool_ptr_.load(std::memory_order_acquire);
-  }
-
-  // Robustness counters for serve(): timeouts, reaped/shed connections,
+  // Robustness counters for serve(): timeouts, reaped connections,
   // 413/431 rejections (DESIGN.md §12). Exported via /metrics.
   net::ServerStats& server_stats() noexcept { return server_stats_; }
   const net::ServerStats& server_stats() const noexcept {
@@ -315,16 +277,12 @@ class Provider {
   FederatedSearchFn federated_search_;
   std::unique_ptr<Gateway> gateway_;  // after metrics_: caches Counter*s
   // §14 static-enforcement note: the provider itself holds no mutex —
-  // its one lazy-init race (the worker pool) goes through std::call_once
-  // plus an acquire/release atomic, and every mutable subsystem above
-  // synchronizes internally with annotated util::Mutex/SharedMutex locks.
-  std::once_flag pool_once_;
-  std::unique_ptr<os::ThreadPool> pool_;  // lazy; see worker_pool()
-  std::atomic<os::ThreadPool*> pool_ptr_{nullptr};
+  // every mutable subsystem above synchronizes internally with annotated
+  // util::Mutex/SharedMutex locks.
   net::ServerStats server_stats_;
   net::ConnStats conn_stats_;
   // Durability plane; components hold a MutationLog* into it, and the
-  // destructor closes it only after the worker pool has stopped.
+  // destructor closes it before they are torn down.
   std::unique_ptr<store::DurableStore> durable_;
   store::DurableStore::RecoveryStats recovery_stats_;
   util::Status durability_status_ = util::ok_status();

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/provider.h"
-#include "os/thread_pool.h"
 #include "store/durable_store.h"
 
 namespace w5::platform {
@@ -34,18 +33,13 @@ util::Json build_section() {
 util::Json serving_section(Provider& provider) {
   const ProviderConfig& config = provider.config();
   util::Json serving = util::Json::object();
-  serving["app_dispatch"] =
-      config.app_dispatch == AppDispatch::kInline ? "inline" : "pooled";
   serving["io_threads"] = from_u64(config.io_threads);
-  serving["worker_threads"] = from_u64(config.worker_threads);
-  serving["max_queued_connections"] = from_u64(config.max_queued_connections);
   serving["slow_request_micros"] = config.slow_request_micros;
   const net::ServerStats& stats = provider.server_stats();
   util::Json requests = util::Json::object();
   requests["handled"] = from_u64(stats.handled_total.load());
   requests["timeouts"] = from_u64(stats.timeouts_total.load());
   requests["reaped"] = from_u64(stats.reaped_total.load());
-  requests["shed_503"] = from_u64(stats.shed_total.load());
   requests["rejected_413"] = from_u64(stats.rejected_413_total.load());
   requests["rejected_431"] = from_u64(stats.rejected_431_total.load());
   serving["requests"] = std::move(requests);

@@ -51,9 +51,10 @@ constexpr std::uint8_t kResponded = 2;  // the Responder was called
 }  // namespace
 
 // Cross-thread handoff into a loop: new connections from the accepting
-// loop, finished responses from pool workers. Pool jobs hold the mailbox
-// by shared_ptr, so a completion that outlives serve() posts into a
-// closed mailbox and is dropped — never into freed memory.
+// loop, and responses answered off the loop (a parked write's WAL
+// callback). A Responder holds the mailbox by shared_ptr, so a
+// completion that outlives serve() posts into a closed mailbox and is
+// dropped — never into freed memory.
 struct EventLoopHttpServer::Mailbox {
   struct Item {
     bool is_completion = false;
@@ -138,13 +139,13 @@ struct EventLoopHttpServer::Conn {
   // has an on_stage sink. All absolute wall micros; 0 = not reached.
   util::Micros t_request_start = 0;  // first byte of the current request
   util::Micros t_parse_done = 0;     // request fully parsed
-  util::Micros t_handler_start = 0;  // handler began (worker stamp)
+  util::Micros t_handler_start = 0;  // handler began
   util::Micros t_handler_done = 0;   // handler answered, or returned parked
   util::Micros t_released = 0;       // parked response released
   std::string trace_id;              // response X-W5-Trace echo, may be ""
 };
 
-// One dispatched request, shared by the executor job and the request's
+// One dispatched request, shared by the handler call and the request's
 // Responder. The responder may outlive serve() (a WAL callback holds it):
 // it then only ever touches the mailbox it keeps alive, which is closed
 // by then and drops the post.
@@ -167,7 +168,7 @@ struct EventLoopHttpServer::Exchange {
 struct EventLoopHttpServer::Loop {
   std::size_t index = 0;
   int epoll_fd = -1;
-  TimerWheel wheel;
+  TimerWheel wheel;  // default 1024 slots × 20 ms
   std::shared_ptr<Mailbox> mailbox;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   // Connections with a pipelined continuation owed (surplus bytes or a
@@ -177,19 +178,15 @@ struct EventLoopHttpServer::Loop {
   std::thread thread;  // loops 1..n-1; loop 0 runs on the serve() caller
   std::atomic<bool> stop{false};
 
-  Loop(util::Micros granularity, std::size_t slots)
-      : wheel(granularity, slots) {}
   ~Loop() {
     if (epoll_fd >= 0) ::close(epoll_fd);
   }
 };
 
 EventLoopHttpServer::EventLoopHttpServer(
-    Handler handler, BoundedExecutor executor, ParserLimits limits,
-    ServerOptions options, EventLoopOptions loop_options, ServerStats* stats,
-    ConnStats* conn_stats)
+    Handler handler, ParserLimits limits, ServerOptions options,
+    EventLoopOptions loop_options, ServerStats* stats, ConnStats* conn_stats)
     : handler_(std::move(handler)),
-      executor_(std::move(executor)),
       limits_(limits),
       options_(options),
       loop_options_(loop_options),
@@ -222,8 +219,7 @@ std::size_t EventLoopHttpServer::serve(TcpListener& listener) {
   loops_.clear();
   loops_.reserve(n_loops);
   for (std::size_t i = 0; i < n_loops; ++i) {
-    auto loop = std::make_unique<Loop>(loop_options_.timer_granularity_micros,
-                                       loop_options_.timer_slots);
+    auto loop = std::make_unique<Loop>();
     loop->index = i;
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     loop->mailbox = std::make_shared<Mailbox>();
@@ -516,11 +512,10 @@ void EventLoopHttpServer::handle_event(Loop& loop, std::uint64_t id,
 
 void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
   char buf[16 * 1024];
-  const std::size_t chunk =
-      std::min(sizeof(buf), std::max<std::size_t>(loop_options_.read_chunk_bytes, 1));
-  // feed() can destroy the connection synchronously (parse error whose
-  // rejection writes out in full, shed ditto); every feed is followed by
-  // an existence check before `conn` is touched again.
+  // feed() can destroy the connection synchronously (a parse error's
+  // rejection, or an inline answer, that writes out in full and closes);
+  // every feed is followed by an existence check before `conn` is
+  // touched again.
   const std::uint64_t id = conn.id;
   while (conn.state == Conn::State::kIdle ||
          conn.state == Conn::State::kReading) {
@@ -538,7 +533,7 @@ void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
       continue;  // the loop condition re-checks the (possibly new) state
     }
     if (!conn.read_ready) return;  // ET: wait for the next edge
-    auto n = conn.io->read(buf, chunk);
+    auto n = conn.io->read(buf, sizeof(buf));
     if (!n.ok()) {
       const std::string& code = n.error().code;
       if (code == "net.would_block") {
@@ -644,19 +639,7 @@ void EventLoopHttpServer::dispatch(Loop& loop, Conn& conn) {
   exchange->request = std::move(request);
   exchange->stage_enabled = stage_enabled_;
   exchange->lag_enabled = loop_options_.telemetry.loop_lag_micros != nullptr;
-  const bool admitted =
-      executor_([this, exchange] { run_handler(exchange); });
-  if (!admitted) {
-    // Load shed: the headers were parsed on the (cheap) I/O loop; the
-    // client gets 503 + Retry-After + close instead of an unbounded queue.
-    count(stats_ != nullptr ? &stats_->shed_total : nullptr);
-    HttpResponse shed = HttpResponse::text(503, "overloaded, retry later\n");
-    shed.headers.set("Retry-After",
-                     std::to_string(options_.retry_after_seconds));
-    stamp_trace_echo(shed, exchange->request.headers);
-    start_write(loop, conn, std::move(shed), /*close_after=*/true,
-                /*count_handled=*/false);
-  }
+  run_handler(exchange);
 }
 
 void EventLoopHttpServer::run_handler(
@@ -871,9 +854,8 @@ void EventLoopHttpServer::report_stages(Loop& loop, Conn& conn) {
   sample.handler_done = conn.t_handler_done;
   sample.released = conn.t_released;
   sample.write_done = wall_now();
-  // Inline dispatch runs the handler synchronously on this loop; a
-  // missing worker stamp collapses the dispatch stage to zero instead of
-  // reporting garbage.
+  // The clamps keep the stages ordered: a missing handler stamp
+  // collapses the dispatch stage to zero instead of reporting garbage.
   if (sample.handler_start == 0) sample.handler_start = sample.parse_done;
   if (sample.handler_done < sample.handler_start)
     sample.handler_done = sample.handler_start;

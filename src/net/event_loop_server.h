@@ -7,19 +7,18 @@
 //   idle → reading (headers → body) → dispatched → writing → idle
 //
 // driving the incremental net/http_parser. Application work (the
-// Handler) runs where the executor puts it: inline on the owning loop,
-// or on the provider's worker pool. The handler answers through a
-// one-shot Responder, at once or later from any thread: a response that
-// comes back off the owning loop is handed to it through a mailbox +
-// eventfd wakeup, and the connection waits in `dispatched` meanwhile
-// while the loop serves the others (a durable write parks its
+// Handler) runs inline on the connection's owning loop. It answers
+// through a one-shot Responder, at once or later from any thread: a
+// response that comes back off the owning loop is handed to it through a
+// mailbox + eventfd wakeup, and the connection waits in `dispatched`
+// meanwhile while the loop serves the others (a durable write parks its
 // connection that way until its WAL fsync lands, DESIGN.md §13).
 // Connection state is only ever touched by its owning loop thread — the
 // thread-ownership rule that keeps the reactor lock-free on the hot
 // path.
 //
 // Deadlines (ServerOptions: header/idle, body and write budgets, with
-// 408/413/431/503 semantics) come from a hashed timer wheel per loop
+// 408 or a silent close) come from a hashed timer wheel per loop
 // instead of poll-quantum wakeups: tens of thousands of idle keep-alive
 // connections sleep in the epoll set at ~0 CPU until bytes arrive or
 // their deadline slot comes up.
@@ -44,13 +43,6 @@
 
 namespace w5::net {
 
-// Admission-controlled executor: runs a job (inline, or on a worker
-// pool) and returns false when the job was refused (queue full, pool
-// stopping) — the reactor then sheds the request with a 503 instead of
-// queueing unboundedly. Keeps the net layer free of a dependency on
-// os::ThreadPool; the provider passes its pool's try_submit() here.
-using BoundedExecutor = std::function<bool(std::function<void()>)>;
-
 // Robustness knobs (DESIGN.md §12). All deadlines are wall-clock micros;
 // 0 disables that deadline.
 struct ServerOptions {
@@ -63,8 +55,6 @@ struct ServerOptions {
   // From the first byte of a response until its last: a receiver that
   // never drains is reaped.
   util::Micros write_timeout_micros = 0;
-  // Retry-After seconds advertised on shed (503) responses.
-  int retry_after_seconds = 1;
 };
 
 // Shared robustness counters, exported at /metrics. Owned by the caller
@@ -73,7 +63,6 @@ struct ServerStats {
   std::atomic<std::uint64_t> handled_total{0};     // requests served
   std::atomic<std::uint64_t> timeouts_total{0};    // read/write timeouts seen
   std::atomic<std::uint64_t> reaped_total{0};      // connections killed by deadline
-  std::atomic<std::uint64_t> shed_total{0};        // 503s sent at dispatch
   std::atomic<std::uint64_t> rejected_413_total{0};
   std::atomic<std::uint64_t> rejected_431_total{0};
 };
@@ -101,7 +90,7 @@ using ConnectionDecorator =
 
 // Absolute wall-clock stamps for one *handled* request's trip through the
 // per-connection state machine, reported after the response's last byte
-// is written. Early exits (408/413/431/503) report nothing — they never
+// is written. Early exits (400/408/413/431) report nothing — they never
 // ran a handler. trace_id is the response's X-W5-Trace echo: an id, never
 // request bytes (§3.5).
 struct StageSample {
@@ -147,11 +136,6 @@ struct EventLoopOptions {
   // Reactor loop threads. Loop 0 runs on the serve() caller's thread and
   // owns the listener; accepted connections are dealt round-robin.
   std::size_t io_threads = 1;
-  // Timer wheel slot width: deadlines fire at most one slot late.
-  util::Micros timer_granularity_micros = 20'000;
-  std::size_t timer_slots = 1024;
-  // Bytes per read(2) into the parser.
-  std::size_t read_chunk_bytes = 16 * 1024;
   ConnectionDecorator decorate;  // optional (fault injection)
   ReactorTelemetry telemetry;    // optional (DESIGN.md §16)
 };
@@ -184,21 +168,20 @@ class EventLoopHttpServer {
   // once.
   static Handler blocking(ServerHandler handler);
 
-  EventLoopHttpServer(Handler handler, BoundedExecutor executor,
-                      ParserLimits limits = {}, ServerOptions options = {},
-                      EventLoopOptions loop_options = {},
-                      ServerStats* stats = nullptr,
-                      ConnStats* conn_stats = nullptr);
+  explicit EventLoopHttpServer(Handler handler, ParserLimits limits = {},
+                               ServerOptions options = {},
+                               EventLoopOptions loop_options = {},
+                               ServerStats* stats = nullptr,
+                               ConnStats* conn_stats = nullptr);
   ~EventLoopHttpServer();
 
   EventLoopHttpServer(const EventLoopHttpServer&) = delete;
   EventLoopHttpServer& operator=(const EventLoopHttpServer&) = delete;
 
   // Runs the reactor until the listener is closed (listener.close() from
-  // another thread).
-  // Returns the number of connections accepted. The caller is
-  // responsible for draining its executor afterwards — completions for
-  // connections that no longer exist are dropped harmlessly.
+  // another thread). Returns the number of connections accepted. A
+  // Responder called after that (a parked write's WAL callback) is
+  // dropped harmlessly.
   std::size_t serve(TcpListener& listener);
 
  private:
@@ -211,7 +194,7 @@ class EventLoopHttpServer {
   void add_conn(Loop& loop, std::unique_ptr<Connection> io, int fd,
                 std::uint64_t id);
   void drain_mailbox(Loop& loop);
-  // Runs the handler for one dispatched request (on the executor).
+  // Runs the handler for one dispatched request, inline on its loop.
   void run_handler(const std::shared_ptr<Exchange>& exchange);
   // Applies a finished handler response to the connection (if it still
   // exists and still awaits one). Loop-thread only. The stamps are
@@ -244,7 +227,6 @@ class EventLoopHttpServer {
   void report_stages(Loop& loop, Conn& conn);
 
   Handler handler_;
-  BoundedExecutor executor_;
   ParserLimits limits_;
   ServerOptions options_;
   EventLoopOptions loop_options_;

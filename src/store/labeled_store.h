@@ -100,8 +100,9 @@ struct QueryPage {
 // store; the spec list is copied out before any shard lock is taken).
 class LabeledStore {
  public:
-  // 16 stripes: comfortably above the worker-pool default (8) so two
-  // random keys rarely contend, small enough that full scans stay cheap.
+  // 16 stripes: comfortably above the threads a provider runs requests
+  // on, so two random keys rarely contend, small enough that full scans
+  // stay cheap.
   static constexpr std::size_t kShardCount = 16;
 
   LabeledStore(os::Kernel& kernel, const util::Clock& clock)

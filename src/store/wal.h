@@ -15,7 +15,7 @@
 // The log is segmented: appends go to wal-<first_seq>.log; compaction
 // rotates to a fresh segment, snapshots the full state, and deletes
 // segments the snapshot covers. Group commit: appends from any thread —
-// reactor loops, pooled workers, in-process callers — enqueue under a
+// reactor loops, in-process callers — enqueue under a
 // leaf mutex, and a dedicated flusher thread writes and fsyncs whole
 // batches, amortizing one fsync across every append that arrived while
 // the previous one was in flight. Callers either block in wait_durable()

@@ -64,8 +64,6 @@ inline constexpr int kAuditLog = 58;            // AuditLog::mutex_
 inline constexpr int kWal = 60;                 // WriteAheadLog::mutex_
 
 // -- Execution substrate -----------------------------------------------------
-inline constexpr int kThreadPoolJoin = 66;      // ThreadPool::join_mutex_
-inline constexpr int kThreadPool = 68;          // ThreadPool::mutex_
 inline constexpr int kResourceTree = 70;        // ResourceContainer::mutex_
 
 // -- Net leaves (brief critical sections, no calls out) ----------------------

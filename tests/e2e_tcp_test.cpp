@@ -1,11 +1,11 @@
 // Full-stack integration over real TCP sockets: browser-equivalent client
 // speaks HTTP/1.1 to a provider served by the TCP listener, exercising
-// parse → auth → app → perimeter → serialize end to end. Parameterized
-// over where the reactor runs handlers (DESIGN.md §15): on the event
-// loop itself, or on the worker pool completing through the loop's
-// mailbox — the two must be observably identical here.
+// parse → auth → app → perimeter → serialize end to end, with every
+// handler inline on the reactor's loops (DESIGN.md §15).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "apps/apps.h"
@@ -21,13 +21,11 @@ using net::HttpRequest;
 using net::HttpResponse;
 using net::Method;
 
-class TcpEndToEnd : public ::testing::TestWithParam<platform::AppDispatch> {
+class TcpEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    platform::ProviderConfig config;
-    config.app_dispatch = GetParam();
-    provider_ =
-        std::make_unique<platform::Provider>(std::move(config), clock_);
+    provider_ = std::make_unique<platform::Provider>(
+        platform::ProviderConfig{}, clock_);
     apps::register_standard_apps(*provider_);
     ASSERT_TRUE(listener_.listen(0).ok());
     server_thread_ = std::thread([this] { provider_->serve(listener_); });
@@ -64,16 +62,7 @@ class TcpEndToEnd : public ::testing::TestWithParam<platform::AppDispatch> {
   std::thread server_thread_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    ServeModes, TcpEndToEnd,
-    ::testing::Values(platform::AppDispatch::kInline,
-                      platform::AppDispatch::kPooled),
-    [](const ::testing::TestParamInfo<platform::AppDispatch>& param) {
-      return param.param == platform::AppDispatch::kInline ? "EventLoop"
-                                                           : "Pooled";
-    });
-
-TEST_P(TcpEndToEnd, BrowserSessionOverRealSockets) {
+TEST_F(TcpEndToEnd, BrowserSessionOverRealSockets) {
   // Sign up + log in; lift the cookie from Set-Cookie like a browser.
   EXPECT_EQ(roundtrip(Method::kPost, "/signup",
                       "user=bob&password=hunter2").status,
@@ -104,7 +93,7 @@ TEST_P(TcpEndToEnd, BrowserSessionOverRealSockets) {
   EXPECT_EQ(blocked.body.find("over tcp"), std::string::npos);
 }
 
-TEST_P(TcpEndToEnd, MalformedWireBytesGet400) {
+TEST_F(TcpEndToEnd, MalformedWireBytesGet400) {
   auto connection = net::tcp_connect(port());
   ASSERT_TRUE(connection.ok());
   ASSERT_TRUE(connection.value()->write("GARBAGE\r\n\r\n").ok());
@@ -119,61 +108,47 @@ TEST_P(TcpEndToEnd, MalformedWireBytesGet400) {
   EXPECT_EQ(parser.take().status, 400);
 }
 
-TEST(TcpEndToEndDispatch, PooledAppDispatchServesThroughWorkerPool) {
-  // The reactor's non-default dispatch policy: handlers on the worker
-  // pool, responses returning through the completion mailbox.
-  util::WallClock clock;
-  platform::ProviderConfig config;
-  config.app_dispatch = platform::AppDispatch::kPooled;
-  platform::Provider provider(std::move(config), clock);
-  apps::register_standard_apps(provider);
-  net::TcpListener listener;
-  ASSERT_TRUE(listener.listen(0).ok());
-  std::thread server_thread([&] { provider.serve(listener); });
-
-  auto connection = net::tcp_connect(listener.port());
-  ASSERT_TRUE(connection.ok());
-  net::HttpClient client;
-  HttpRequest request;
-  request.method = Method::kGet;
-  request.target = "/stats";
-  request.headers.set("Connection", "close");
-  auto response = client.roundtrip(*connection.value(), request);
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 200);
-  EXPECT_NE(provider.pool_if_started(), nullptr);
-
-  listener.close();
-  server_thread.join();
+// Threads in this process right now.
+std::size_t thread_count() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
 }
 
-TEST(TcpEndToEndDispatch, InlineDispatchStartsNoWorkerPool) {
-  // The default dispatch runs every handler on the reactor loop, so a
-  // serve() round trip must not spawn the worker pool's threads.
-  util::WallClock clock;
-  platform::Provider provider(platform::ProviderConfig{}, clock);
-  net::TcpListener listener;
-  ASSERT_TRUE(listener.listen(0).ok());
-  std::thread server_thread([&] { provider.serve(listener); });
+TEST(TcpEndToEndServe, ServeRunsOnlyItsLoops) {
+  // Every handler runs inline on a reactor loop, so serve() starts its
+  // extra loops and nothing else: the serving thread plus io_threads - 1.
+  for (const std::size_t io_threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(io_threads);
+    util::WallClock clock;
+    platform::ProviderConfig config;
+    config.io_threads = io_threads;
+    platform::Provider provider(std::move(config), clock);
+    net::TcpListener listener;
+    ASSERT_TRUE(listener.listen(0).ok());
+    const std::size_t before = thread_count();
+    std::thread server_thread([&] { provider.serve(listener); });
+    const auto response = [&]() -> util::Result<HttpResponse> {
+      auto connection = net::tcp_connect(listener.port());
+      if (!connection.ok()) return connection.error();
+      HttpRequest request;
+      request.method = Method::kGet;
+      request.target = "/metrics";
+      request.headers.set("Connection", "close");
+      return net::HttpClient().roundtrip(*connection.value(), request);
+    }();
+    const std::size_t serving = thread_count();
+    listener.close();
+    server_thread.join();
 
-  auto connection = net::tcp_connect(listener.port());
-  ASSERT_TRUE(connection.ok());
-  net::HttpClient client;
-  HttpRequest request;
-  request.method = Method::kGet;
-  request.target = "/metrics";
-  request.headers.set("Connection", "close");
-  auto response = client.roundtrip(*connection.value(), request);
-  ASSERT_TRUE(response.ok()) << response.error().code;
-  EXPECT_EQ(response.value().status, 200);
-  EXPECT_EQ(response.value().body.find("w5_pool_workers"), std::string::npos);
-
-  listener.close();
-  server_thread.join();
-  EXPECT_EQ(provider.pool_if_started(), nullptr);
+    ASSERT_TRUE(response.ok()) << response.error().code;
+    EXPECT_EQ(response.value().status, 200);
+    EXPECT_EQ(response.value().body.find("w5_pool_"), std::string::npos);
+    EXPECT_EQ(serving, before + io_threads);
+  }
 }
 
-TEST_P(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {
+TEST_F(TcpEndToEnd, KeepAliveSessionReusesOneConnection) {
   // Several requests over one connection: framing, keep-alive, and the
   // gateway's session handling all hold on a reused socket.
   auto connection = net::tcp_connect(port());

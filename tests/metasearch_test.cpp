@@ -514,8 +514,11 @@ TEST_F(MetasearchTest, GatewayFedSearchServesMergedPageToTheViewer) {
 TEST_F(MetasearchTest, GatewayFlagsPartialPagesInAHeader) {
   put_one_everywhere();
   MetasearchConfig config;
-  config.fanout_budget_micros = 5'000;
+  // 100 ms gather budget, so only the stalled peer misses it (see the
+  // cutoff test above).
+  config.fanout_budget_micros = 100'000;
   Metasearch meta(home_node_, config);
+  // peerD's wire stalls 400 ms on the first write — four budgets long.
   meta.set_connection_decorator(
       [](const std::string& peer, std::unique_ptr<net::Connection> inner)
           -> std::unique_ptr<net::Connection> {
@@ -523,7 +526,7 @@ TEST_F(MetasearchTest, GatewayFlagsPartialPagesInAHeader) {
         return std::make_unique<net::FaultyConnection>(
             std::move(inner),
             net::FaultSchedule::scripted(
-                {}, {{net::FaultKind::kDelay, 100'000, 1}}));
+                {}, {{net::FaultKind::kDelay, 400'000, 1}}));
       });
   meta.install();
   const std::string bob = home_.login("bob", "pwd").value();

@@ -3,9 +3,9 @@
 // schedule/expire/lap semantics, then drives the reactor over real TCP
 // sockets: keep-alive, pipelining, parked responses answered from
 // another thread, slow-client reaping (408 / silent close / write
-// timeout), dispatch-time shedding, oversize rejections,
-// fault injection through the connection decorator, and the
-// connection-plane gauges under hundreds of idle connections.
+// timeout), oversize rejections, fault injection through the
+// connection decorator, and the connection-plane gauges under hundreds
+// of idle connections.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include "net/tcp.h"
 #include "net/timer_wheel.h"
 #include "net/tracing.h"
-#include "os/thread_pool.h"
 #include "util/clock.h"
 #include "util/metrics.h"
 
@@ -161,16 +160,13 @@ class PipelinedReader {
   std::size_t off_ = 0;
 };
 
-// One reactor on its own thread; everything defaults to an inline
-// executor (handler runs on the loop thread — fine for tests that are
-// not about dispatch).
+// One reactor on its own thread, handlers inline on its loop.
 class ReactorServer {
  public:
   struct Config {
     ServerHandler handler = echo_handler;
     // Set: answers through the Responder instead of `handler`.
     EventLoopHttpServer::Handler respond;
-    BoundedExecutor executor;  // null → inline
     ParserLimits limits{};
     ServerOptions options{};
     EventLoopOptions loop_options{};
@@ -182,11 +178,6 @@ class ReactorServer {
       : server_(config.respond
                     ? std::move(config.respond)
                     : EventLoopHttpServer::blocking(std::move(config.handler)),
-                config.executor ? std::move(config.executor)
-                                : [](std::function<void()> job) {
-                                    job();
-                                    return true;
-                                  },
                 config.limits, config.options, std::move(config.loop_options),
                 config.stats, config.conn_stats) {
     // Deep backlog: connection-burst tests outpace a single-core accept
@@ -428,7 +419,7 @@ TEST(EventLoopServer, ClientGoneWhileParkedDropsTheAnswer) {
 }
 
 TEST(EventLoopServer, DeepPipelineDrainsIterativelyWithInlineDispatch) {
-  // 400 pipelined requests in one buffer with the inline executor: every
+  // 400 pipelined requests in one buffer with inline dispatch: every
   // completion lands synchronously and the continuation after each
   // response must be deferred, not recursed — a frame per request (each
   // with pump_read's 16 KiB buffer) would chew through the stack.
@@ -703,75 +694,6 @@ TEST(EventLoopServer, MalformedStartLineGets400) {
   auto response = read_response(*client.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 400);
-}
-
-TEST(EventLoopServer, OverloadShedsWith503AndRetryAfterAtDispatch) {
-  // 1 worker, queue of 1: the third in-flight request must shed. The
-  // reactor sheds at dispatch, with the headers already parsed on the
-  // loop.
-  os::ThreadPool pool(1, 1);
-  ServerStats stats;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  ReactorServer server(
-      {.handler =
-           [&](const HttpRequest& request) {
-             if (request.parsed.path == "/block") {
-               std::unique_lock lock(mutex);
-               cv.wait(lock, [&] { return release; });
-             }
-             return HttpResponse::text(200, "done");
-           },
-       .executor =
-           [&pool](std::function<void()> job) {
-             return pool.try_submit(std::move(job));
-           },
-       .options = {.retry_after_seconds = 7},
-       .stats = &stats});
-
-  const auto send_blocking_request = [&]() -> std::unique_ptr<Connection> {
-    auto connection = tcp_connect(server.port());
-    EXPECT_TRUE(connection.ok());
-    if (!connection.ok()) return nullptr;
-    HttpRequest request;
-    request.target = "/block";
-    request.headers.set("Connection", "close");
-    EXPECT_TRUE(connection.value()->write(request.to_wire()).ok());
-    return std::move(connection).value();
-  };
-  auto busy1 = send_blocking_request();
-  ASSERT_NE(busy1, nullptr);
-  for (int i = 0; i < 2000 && pool.active() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.active(), 1u);
-  auto busy2 = send_blocking_request();
-  ASSERT_NE(busy2, nullptr);
-  for (int i = 0; i < 2000 && pool.pending() < 1; ++i)
-    std::this_thread::sleep_for(1ms);
-  ASSERT_EQ(pool.pending(), 1u);
-
-  auto shed_conn = send_blocking_request();
-  ASSERT_NE(shed_conn, nullptr);
-  auto shed = read_response(*shed_conn);
-  ASSERT_TRUE(shed.ok()) << shed.error().code;
-  EXPECT_EQ(shed.value().status, 503);
-  EXPECT_EQ(shed.value().headers.get("Retry-After"), "7");
-  EXPECT_EQ(shed.value().headers.get("Connection"), "close");
-  EXPECT_EQ(stats.shed_total.load(), 1u);
-  EXPECT_EQ(pool.jobs_rejected(), 1u);
-
-  {
-    std::lock_guard lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  auto r1 = read_response(*busy1);
-  auto r2 = read_response(*busy2);
-  EXPECT_TRUE(r1.ok() && r1.value().status == 200);
-  EXPECT_TRUE(r2.ok() && r2.value().status == 200);
-  server.stop();
-  pool.shutdown();
 }
 
 TEST(EventLoopServer, WriteTimeoutReapsNeverDrainingReceiver) {

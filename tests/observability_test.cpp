@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "core/provider.h"
 #include "core/trace.h"
 #include "difc/label_table.h"
-#include "os/thread_pool.h"
 #include "util/log.h"
 #include "util/metrics.h"
 
@@ -349,20 +347,6 @@ TEST_F(ObservabilityGatewayTest, ObservabilityCountersExactUnderConcurrency) {
 }
 
 // ---- Component counters -----------------------------------------------------
-
-TEST(ObservabilityThreadPool, CountsJobsAndQueueDepth) {
-  os::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i)
-    pool.submit([&ran] { ran.fetch_add(1); });
-  pool.drain();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_EQ(pool.jobs_submitted(), 32u);
-  EXPECT_EQ(pool.jobs_completed(), 32u);
-  EXPECT_EQ(pool.active(), 0u);
-  EXPECT_GE(pool.max_queue_depth(), 1u);
-  pool.shutdown();
-}
 
 TEST(ObservabilityFlowMemo, InvalidationCounterTracksEpochBumps) {
   const std::uint64_t before = difc::FlowCache::instance().invalidations();

@@ -274,7 +274,8 @@ TEST_F(DebugPlaneTest, StatuszAggregatesInfrastructureState) {
   ASSERT_TRUE(parsed.ok()) << response.body;
   const util::Json& statusz = parsed.value();
   EXPECT_EQ(statusz.at("provider").as_string(), "w5.org");
-  EXPECT_EQ(statusz.at("serving").at("app_dispatch").as_string(), "inline");
+  EXPECT_EQ(statusz.at("serving").at("io_threads").as_int(), 1);
+  EXPECT_FALSE(statusz.at("serving").contains("app_dispatch"));
   EXPECT_TRUE(statusz.at("build").contains("compiled"));
   EXPECT_TRUE(statusz.at("durability").contains("enabled"));
   EXPECT_TRUE(statusz.at("fed_breakers").is_object());
