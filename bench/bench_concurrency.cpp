@@ -208,15 +208,15 @@ TcpServeFixture& tcp_fixture(std::size_t io_threads) {
 // gateway exports at /metrics) into the benchmark's user counters so
 // BENCH_concurrency.json carries them next to the timing numbers.
 void stamp_conn_counters(benchmark::State& state,
-                         const w5::net::ConnStats& conn) {
+                         const w5::net::ServerStats& conn) {
   state.counters["conn_open"] =
       static_cast<double>(conn.open.load(std::memory_order_relaxed));
   state.counters["conn_idle"] =
       static_cast<double>(conn.idle.load(std::memory_order_relaxed));
   state.counters["conn_accepted"] =
       static_cast<double>(conn.accepted_total.load(std::memory_order_relaxed));
-  state.counters["conn_timeout_closes"] = static_cast<double>(
-      conn.timeout_closes_total.load(std::memory_order_relaxed));
+  state.counters["conn_reaped"] = static_cast<double>(
+      conn.reaped_total.load(std::memory_order_relaxed));
   state.counters["conn_resets"] =
       static_cast<double>(conn.reset_total.load(std::memory_order_relaxed));
 }
@@ -264,7 +264,7 @@ void run_tcp_mixed(benchmark::State& state, std::size_t io_threads) {
   state.counters["req_per_s"] = benchmark::Counter(
       static_cast<double>(requests), benchmark::Counter::kIsRate);
   if (state.thread_index() == 0)
-    stamp_conn_counters(state, fx.provider->conn_stats());
+    stamp_conn_counters(state, fx.provider->server_stats());
 }
 
 void BM_TcpMixedPipeline_EventLoop(benchmark::State& state) {
@@ -325,14 +325,13 @@ double cpu_micros_now() {
 void BM_IdleConnectionCpu(benchmark::State& state) {
   const int want = static_cast<int>(state.range(0));
   w5::net::ServerStats stats;
-  w5::net::ConnStats conn_stats;
   // Deadlines all disabled: nothing may reap the herd mid-measurement.
   w5::net::EventLoopHttpServer server(
       w5::net::EventLoopHttpServer::blocking(
           [](const w5::net::HttpRequest&) {
             return HttpResponse::text(200, "ok");
           }),
-      {}, {}, {}, &stats, &conn_stats);
+      {}, {}, {}, &stats);
   w5::net::TcpListener listener;
   if (!listener.listen(0, 1024).ok()) std::abort();
   std::thread serve_thread([&] { server.serve(listener); });
@@ -348,7 +347,7 @@ void BM_IdleConnectionCpu(benchmark::State& state) {
   }
   // The child's connects outrun the accept loop at the tail; wait for
   // the gauge to agree before starting the CPU clock.
-  for (int i = 0; i < 10'000 && conn_stats.open.load() < want; ++i)
+  for (int i = 0; i < 10'000 && stats.open.load() < want; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   const double cpu_before = cpu_micros_now();
@@ -362,9 +361,9 @@ void BM_IdleConnectionCpu(benchmark::State& state) {
                               .count());
 
   state.counters["open_conns"] =
-      static_cast<double>(conn_stats.open.load(std::memory_order_relaxed));
+      static_cast<double>(stats.open.load(std::memory_order_relaxed));
   state.counters["idle_conns"] =
-      static_cast<double>(conn_stats.idle.load(std::memory_order_relaxed));
+      static_cast<double>(stats.idle.load(std::memory_order_relaxed));
   // Server-process CPU per wall second while N connections idle — a
   // poll-quantum design makes this scale with N; the reactor's epoll set
   // should hold it near zero at any N.

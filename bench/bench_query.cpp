@@ -78,7 +78,7 @@ struct QueryFixture {
       kernel.add_global_capability(plus(tags.back()));
     }
     // Register before loading so every put maintains the index inline —
-    // the production shape (ProviderConfig::store_indexes).
+    // the production shape (the Provider indexes profiles.city at boot).
     (void)store.create_index("profiles", "city");
     for (std::size_t i = 0; i < kRecords; ++i) {
       Record record;

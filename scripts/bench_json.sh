@@ -224,8 +224,12 @@ durability)
   #     W5_DURABILITY_P99_FACTOR (default 3) of the in-memory baseline
   #     once the irreducible device cost is added — a put arriving
   #     mid-batch waits out the in-flight fsync and then its own, so the
-  #     floor is two raw fsyncs. A fsync-per-put regression (no group
-  #     commit) lands at ~threads x fsync and fails the gate.
+  #     floor is two raw fsyncs. Both the limit and the judged values
+  #     are the median p99 of 5 repetitions: one p99 over a few hundred
+  #     fsyncs moves with a single slow flush. A fsync-per-put regression
+  #     (no group commit) lands at ~threads x fsync; it fails this gate
+  #     only while the in-memory p99 is small against a fsync (EXPERIMENTS
+  #     E15), and the reactor gate below fails it either way.
   #   - 4096-entry WAL replay under W5_RECOVERY_BUDGET_MS (default 500).
   #   - group commit over the reactor: BM_ReactorDurablePut (4 keep-alive
   #     clients, one inline loop) shares each fsync among >= 1.5 entries.
@@ -233,18 +237,24 @@ durability)
   factor="${W5_DURABILITY_P99_FACTOR:-3}"
   recovery_budget="${W5_RECOVERY_BUDGET_MS:-500}"
   build_bench "$build_dir" bench_durability
-  run_bench "$build_dir" bench_durability "$out"
-  python3 - "$out" "$factor" "$recovery_budget" <<'EOF'
+  p99_filter='BM_GroupCommitPut|BM_RawFsync'
+  p99_json=/tmp/bench_durability_p99.json
+  run_bench "$build_dir" bench_durability "$out" "-$p99_filter"
+  run_bench "$build_dir" bench_durability "$p99_json" "$p99_filter" 5
+  python3 - "$out" "$factor" "$recovery_budget" "$p99_json" <<'EOF'
 import json, sys
 path, factor, budget_ms = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
 data = json.load(open(path))
+repeated = json.load(open(sys.argv[4])).get("benchmarks", [])
+data["benchmarks"] = data.get("benchmarks", []) + repeated
 
-p99 = {}       # benchmark name (sans /real_time) -> p99_us
+p99 = {}       # benchmark name (sans /real_time) -> median p99_us
+for b in repeated:
+    if b.get("aggregate_name") == "median" and "p99_us" in b:
+        p99[b["run_name"].removesuffix("/real_time")] = b["p99_us"]
 recovery = {}  # entries -> wall ms
 for b in data.get("benchmarks", []):
     name = b.get("name", "").removesuffix("/real_time")
-    if "p99_us" in b:
-        p99[name] = b["p99_us"]
     if name.startswith("BM_Recovery/"):
         t = b.get("real_time", 0.0)
         unit = b.get("time_unit", "ns")
@@ -259,7 +269,8 @@ if base is None or floor is None:
                     "device floor (BM_RawFsync)")
 else:
     limit = factor * (base + 2 * floor)
-    print(f"in-memory p99 {base:.0f}us, device fsync p99 {floor:.0f}us "
+    print(f"median of 5: in-memory p99 {base:.0f}us, "
+          f"device fsync p99 {floor:.0f}us "
           f"-> group-commit limit {limit:.0f}us (factor {factor})")
     for threads in (4, 8):
         name = f"BM_GroupCommitPut/3/{threads}"
@@ -297,7 +308,8 @@ else:
 
 data["e15_gates"] = {
     "p99_factor": factor,
-    "p99_gate": "fsync group-commit p99 <= factor * (inmem p99 + 2*fsync)",
+    "p99_gate": "fsync group-commit p99 <= factor * (inmem p99 + 2*fsync), "
+                "each the median p99 of 5 repetitions",
     "recovery_budget_ms": budget_ms,
     "reactor_min_entries_per_fsync": min_entries_per_fsync,
     "failures": failures,

@@ -100,10 +100,7 @@ util::Result<store::Record> AppContext::make_user_record(
   record.id = id;
   record.owner = owner;
   record.data = std::move(data);
-  difc::Label secrecy{account->secrecy_tag};
-  if (provider_.policies().get(owner).is_private_collection(collection))
-    secrecy = secrecy.with(account->read_tag);
-  record.labels = difc::ObjectLabels{secrecy, difc::Label{account->write_tag}};
+  record.labels = provider_.record_labels(*account, collection);
   return record;
 }
 

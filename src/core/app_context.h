@@ -68,8 +68,8 @@ class AppContext {
   util::Status remove_record(const std::string& collection,
                              const std::string& id);
 
-  // Builds a record carrying `owner`'s standard labels: S = {sec(owner)}
-  // (+rp(owner) for the owner's private collections), I = {wp(owner)}.
+  // Builds a record carrying `owner`'s standard labels
+  // (Provider::record_labels).
   util::Result<store::Record> make_user_record(const std::string& owner,
                                                const std::string& collection,
                                                const std::string& id,

@@ -15,12 +15,6 @@ namespace w5::platform {
 
 namespace {
 
-net::HttpResponse json_error(int status, const std::string& code) {
-  util::Json body;
-  body["error"] = code;
-  return net::HttpResponse::json(status, body.dump());
-}
-
 // Generic denial: deliberately free of application-controlled bytes so a
 // blocked response cannot itself smuggle data. A constant body: the deny
 // path should cost no more than the allow path.
@@ -35,6 +29,12 @@ bool is_durability_error(const util::Error& error) {
 }
 
 }  // namespace
+
+net::HttpResponse json_error(int status, const std::string& code) {
+  util::Json body;
+  body["error"] = code;
+  return net::HttpResponse::json(status, body.dump());
+}
 
 net::HttpResponse durability_failure(const util::Error& error) {
   return json_error(503, error.code);
@@ -136,42 +136,23 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request,
   // The W5_NO_TELEMETRY baseline must not pay for clock reads or header
   // stamping either — the whole plane compiles down to a bare dispatch.
   if constexpr (!util::kTelemetryEnabled) return router_.dispatch(request);
-  // A validated inbound X-W5-Trace continues an upstream trace (federation
-  // peers forward it); anything else mints a fresh id. The context is
-  // thread-local-current for the duration, so spans recorded anywhere
-  // below land in this request's trace.
-  const auto inherited = request.headers.get("X-W5-Trace");
-  // X-W5-Sampled propagates the upstream sampling decision: "0" keeps an
-  // inherited id from forcing spans on, "1" forces them on.
-  RequestContext::Sampling sampling = RequestContext::Sampling::kInherit;
-  if (const auto sampled = request.headers.get("X-W5-Sampled")) {
-    if (*sampled == "0") sampling = RequestContext::Sampling::kOff;
-    if (*sampled == "1") sampling = RequestContext::Sampling::kOn;
-  }
-  RequestContext context(inherited ? std::string_view(*inherited)
-                                   : std::string_view{},
-                         sampling);
-  // The caller's span id (digits only) — recorded so the stitched tree
-  // shows which upstream span this whole request hangs under.
-  if (const auto parent = request.headers.get("X-W5-Parent")) {
-    if (util::parse_u64(*parent)) context.set_parent_span(*parent);
-  }
+  // The context joins the trace the request's headers name, or opens a
+  // fresh one. It is thread-local-current for the duration, so spans
+  // recorded anywhere below land in this request's trace.
+  RequestContext context(request.headers);
   // Deadline propagation (DESIGN.md §12): stamp the request's wall-clock
-  // budget into the context at admission. A client X-W5-Deadline-Ms can
-  // only tighten the provider default, never extend it.
-  util::Micros budget = provider_.config().request_deadline_micros;
+  // budget, 30 s, into the context at admission. A client
+  // X-W5-Deadline-Ms can only tighten it, never extend it.
+  constexpr std::uint64_t kBudgetMillis = 30'000;
+  std::uint64_t budget_millis = kBudgetMillis;
   if (const auto header = request.headers.get("X-W5-Deadline-Ms")) {
     if (const auto millis = util::parse_u64(*header);
-        millis && *millis > 0) {
-      const auto requested =
-          static_cast<util::Micros>(*millis) * 1000;
-      budget = budget > 0 ? std::min(budget, requested) : requested;
-    }
+        millis && *millis > 0 && *millis < kBudgetMillis)
+      budget_millis = *millis;
   }
-  if (budget > 0) {
-    static const util::WallClock wall;
-    context.set_deadline(wall.now() + budget);
-  }
+  static const util::WallClock wall;
+  context.set_deadline(wall.now() +
+                       static_cast<util::Micros>(budget_millis) * 1000);
   requests_total_->inc();
   const std::string* pattern = nullptr;
   std::size_t route_index = net::Router::kNoRoute;
@@ -180,18 +161,7 @@ net::HttpResponse Gateway::handle(const net::HttpRequest& request,
   if (count == Count::kNow) count_response(response.status);
   if (pattern != nullptr) context.set_route(*pattern);
   if (route_index < route_hits_.size()) route_hits_[route_index]->inc();
-  context.set_status(response.status);
-  if (!context.id().empty())
-    response.headers.set("X-W5-Trace", context.id());
-  Trace trace = context.finish();  // stamps the total duration
-  // Cross-hop stitching: a caller that forwarded its trace id gets this
-  // request's span dump back in the response, offsets relative to our
-  // request start (the caller rebases onto its own clock). Only for
-  // inherited ids — a trace root has nobody to stitch into.
-  if (context.inherited() && trace.sampled) {
-    std::string wire = encode_spans_for_wire(trace);
-    if (!wire.empty()) response.headers.set("X-W5-Spans", std::move(wire));
-  }
+  Trace trace = context.finish(response);
   request_latency_->observe_with_exemplar(trace.duration, trace.id);
   if (const util::Micros slow_after = provider_.config().slow_request_micros;
       slow_after > 0 && trace.duration >= slow_after)
@@ -504,31 +474,24 @@ void Gateway::refresh_runtime_gauges() {
   metrics.gauge("w5_store_queries{verdict=\"denied\"}")
       .set(as_i64(query.queries_denied));
 
-  // serve()'s robustness counters (DESIGN.md §12): slow-client reaping
-  // and oversize rejections at the front door.
+  // serve()'s counters (DESIGN.md §12, §15): live open/idle levels,
+  // lifetime accepts, deadline reaps and resets, and the front door's
+  // oversize rejections.
   const net::ServerStats& net_stats = provider_.server_stats();
-  metrics.gauge("w5_net_io_timeouts")
-      .set(as_i64(net_stats.timeouts_total.load()));
+  metrics.gauge("w5_net_open_connections").set(net_stats.open.load());
+  metrics.gauge("w5_net_idle_connections").set(net_stats.idle.load());
+  metrics.gauge("w5_net_connections_accepted")
+      .set(as_i64(net_stats.accepted_total.load()));
   metrics.gauge("w5_net_connections_reaped")
       .set(as_i64(net_stats.reaped_total.load()));
+  metrics.gauge("w5_net_connection_resets")
+      .set(as_i64(net_stats.reset_total.load()));
   metrics.gauge("w5_net_requests_handled")
       .set(as_i64(net_stats.handled_total.load()));
   metrics.gauge("w5_net_rejected{status=\"413\"}")
       .set(as_i64(net_stats.rejected_413_total.load()));
   metrics.gauge("w5_net_rejected{status=\"431\"}")
       .set(as_i64(net_stats.rejected_431_total.load()));
-
-  // Connection-plane telemetry (DESIGN.md §15): live open/idle levels
-  // plus lifetime accept/timeout/reset totals.
-  const net::ConnStats& conn_stats = provider_.conn_stats();
-  metrics.gauge("w5_net_open_connections").set(conn_stats.open.load());
-  metrics.gauge("w5_net_idle_connections").set(conn_stats.idle.load());
-  metrics.gauge("w5_net_connections_accepted")
-      .set(as_i64(conn_stats.accepted_total.load()));
-  metrics.gauge("w5_net_timeout_closes")
-      .set(as_i64(conn_stats.timeout_closes_total.load()));
-  metrics.gauge("w5_net_connection_resets")
-      .set(as_i64(conn_stats.reset_total.load()));
 
   const difc::FlowCache& cache = difc::FlowCache::instance();
   metrics.gauge("w5_flow_cache_hits").set(as_i64(cache.hits()));
@@ -582,23 +545,17 @@ net::HttpResponse Gateway::route_invite(const net::HttpRequest& request) {
     return json_error(404, "no such application");
   }
   // The invitation is the invitee's data: labeled for them, written by
-  // the trusted front-end.
+  // the trusted front-end acting for them.
   store::Record record;
   record.collection = "invitations";
   record.id = *to + ":" + *app;
   record.owner = *to;
-  record.labels =
-      difc::ObjectLabels{difc::Label{invitee->secrecy_tag},
-                         difc::Label{invitee->write_tag}};
+  record.labels = provider_.record_labels(*invitee, record.collection);
   record.data["app"] = *app;
   record.data["from"] = from;
   record.data["accepted"] = false;
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "frontend:invite",
-      difc::LabelState({invitee->secrecy_tag}, {invitee->write_tag}, {}));
-  auto status = provider_.store().put(pid, std::move(record));
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
+  const util::Status status = provider_.store().put(
+      ActingUser(provider_.kernel(), *invitee).pid(), std::move(record));
   if (!status.ok()) {
     if (is_durability_error(status.error()))
       return durability_failure(status.error());
@@ -650,12 +607,8 @@ net::HttpResponse Gateway::route_accept(const net::HttpRequest& request) {
   provider_.policies().set(viewer, std::move(policy));
 
   record.value().data["accepted"] = true;
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "frontend:accept",
-      difc::LabelState({account->secrecy_tag}, {account->write_tag}, {}));
-  (void)provider_.store().put(pid, record.value());
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
+  (void)provider_.store().put(ActingUser(provider_.kernel(), *account).pid(),
+                              record.value());
   provider_.audit().record(AuditKind::kAdmin, viewer, "accept", *app);
   return net::HttpResponse::json(200, R"({"ok":true})");
 }
@@ -728,18 +681,14 @@ net::HttpResponse Gateway::route_delete_account(
   const UserAccount* account = provider_.users().find(viewer);
   if (account == nullptr) return json_error(404, "no such account");
 
-  // Delete every record the user owns (trusted path endorsed as them).
+  // Delete every record the user owns, as the user: one acting process
+  // serves every removal (a remove never relabels its caller).
   std::size_t removed = 0;
+  const ActingUser acting(provider_.kernel(), *account);
   for (const auto& record : provider_.store().export_owned_by(viewer)) {
-    const os::Pid pid = provider_.kernel().spawn_trusted(
-        "frontend:delete-account:" + viewer,
-        difc::LabelState({account->secrecy_tag}, {account->write_tag},
-                         difc::CapabilitySet{
-                             difc::plus(account->read_tag)}));
-    if (provider_.store().remove(pid, record.collection, record.id).ok())
+    if (provider_.store().remove(acting.pid(), record.collection, record.id)
+            .ok())
       ++removed;
-    (void)provider_.kernel().exit(pid);
-    provider_.kernel().reap(pid);
   }
   provider_.sessions().revoke_all(viewer);
   provider_.users().remove(viewer);
@@ -803,24 +752,16 @@ net::HttpResponse Gateway::route_put_data(const net::HttpRequest& request,
   record.id = params.at("id");
   record.owner = viewer;
   record.data = std::move(data).value();
-  difc::Label secrecy{account->secrecy_tag};
-  if (provider_.policies().get(viewer).is_private_collection(collection))
-    secrecy = secrecy.with(account->read_tag);
-  record.labels =
-      difc::ObjectLabels{secrecy, difc::Label{account->write_tag}};
+  record.labels = provider_.record_labels(*account, collection);
 
   // Uploading your own data is provider-written trusted code (§2), but
-  // overwriting an existing record still honors its labels: spawn a
-  // process endorsed as the user rather than using raw kernel authority.
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "frontend:put-data:" + viewer,
-      difc::LabelState({account->secrecy_tag}, {account->write_tag}, {}));
+  // overwriting an existing record still honors its labels: the put runs
+  // as a process acting for the user, not with raw kernel authority.
   // No span here: the "POST /data/:collection/:id" route pattern already
   // names this store write, and the direct data path is the hot path.
   // Store spans live in AppContext, where attribution is ambiguous.
-  util::Status status = provider_.store().put(pid, std::move(record));
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
+  const util::Status status = provider_.store().put(
+      ActingUser(provider_.kernel(), *account).pid(), std::move(record));
   if (!status.ok()) {
     if (is_durability_error(status.error()))
       return durability_failure(status.error());
@@ -904,14 +845,9 @@ net::HttpResponse Gateway::route_delete_data(const net::HttpRequest& request,
   const std::string viewer = viewer_of(request);
   const UserAccount* account = provider_.users().find(viewer);
   if (account == nullptr) return json_error(401, "login required");
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "frontend:delete-data:" + viewer,
-      difc::LabelState({account->secrecy_tag}, {account->write_tag},
-                       difc::CapabilitySet{difc::plus(account->read_tag)}));
-  auto status = provider_.store().remove(pid, params.at("collection"),
-                                         params.at("id"));
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
+  const util::Status status =
+      provider_.store().remove(ActingUser(provider_.kernel(), *account).pid(),
+                               params.at("collection"), params.at("id"));
   if (!status.ok()) {
     if (is_durability_error(status.error()))
       return durability_failure(status.error());

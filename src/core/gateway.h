@@ -126,6 +126,11 @@ class Gateway {
   std::vector<util::Counter*> route_hits_;
 };
 
+// The front end's one error body: `status` with {"error": code}. Both the
+// gateway's routes and the federation endpoints (fed::Node) answer
+// failures with it.
+net::HttpResponse json_error(int status, const std::string& code);
+
 // The answer to a request whose mutation the write-ahead log could not
 // make durable (DESIGN.md §13): 503 with the log's error code. A server
 // fault, not a DIFC decision, so no flow-denied audit row goes with it.

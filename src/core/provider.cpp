@@ -37,7 +37,7 @@ Provider::Provider(ProviderConfig config, const util::Clock& clock)
       fs_(kernel_),
       store_(kernel_, clock),
       users_(kernel_),
-      sessions_(clock, config_.session_ttl_micros),
+      sessions_(clock, /*ttl_micros=*/30ll * 60 * 1000 * 1000),  // 30 min
       audit_(clock),
       loop_stats_(config_.io_threads == 0 ? 1 : config_.io_threads) {
   // Outbound hops (HttpClient, federation pulls) stamp the active
@@ -77,11 +77,10 @@ Provider::Provider(ProviderConfig config, const util::Clock& clock)
     return std::string("external-response:") + url;
   };
 
-  // Store query plane (DESIGN.md §17): indexes first (so durability
-  // recovery below replays into indexed shards), then the §3.5 knobs.
-  for (const auto& spec : config_.store_indexes)
-    (void)store_.create_index(spec.collection, spec.field);
-  store_.set_governor_config(config_.query_governor);
+  // Store query plane (DESIGN.md §17): the dating app's city lookups, the
+  // platform's one built-in equality query, indexed before durability
+  // recovery below so replayed records land indexed.
+  (void)store_.create_index("profiles", "city");
 
   gateway_ = std::make_unique<Gateway>(*this);
 
@@ -242,13 +241,18 @@ std::size_t Provider::serve(net::TcpListener& listener) {
     }
   };
   // Handlers run inline on the owning loop: no handoff and no shed, so
-  // overload becomes TCP backpressure (DESIGN.md §12).
+  // overload becomes TCP backpressure (DESIGN.md §12). Slow clients get
+  // 10 s to deliver a header block, 30 s for the declared body and 10 s
+  // to drain each response before their connection is reaped.
   net::EventLoopHttpServer server(
       [this](const net::HttpRequest& request, net::Responder respond) {
         serve_one(request, std::move(respond));
       },
-      config_.http_limits, config_.http_robustness, loop_options,
-      &server_stats_, &conn_stats_);
+      net::ParserLimits{},
+      net::ServerOptions{.header_deadline_micros = 10'000'000,
+                         .body_deadline_micros = 30'000'000,
+                         .write_timeout_micros = 10'000'000},
+      loop_options, &server_stats_);
   return server.serve(listener);
 }
 
@@ -306,6 +310,14 @@ util::Status Provider::signup(const std::string& user,
   (void)fs_.mkdir(os::kKernelPid, "/users/" + user,
                   difc::ObjectLabels{{}, difc::Label{account->write_tag}});
   return util::ok_status();
+}
+
+difc::ObjectLabels Provider::record_labels(
+    const UserAccount& owner, const std::string& collection) const {
+  difc::Label secrecy{owner.secrecy_tag};
+  if (policies_.get(owner.id).is_private_collection(collection))
+    secrecy = secrecy.with(owner.read_tag);
+  return difc::ObjectLabels{std::move(secrecy), difc::Label{owner.write_tag}};
 }
 
 util::Result<std::string> Provider::login(const std::string& user,

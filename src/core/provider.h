@@ -20,7 +20,6 @@
 #include "core/user.h"
 #include "net/event_loop_server.h"
 #include "net/http.h"
-#include "net/http_parser.h"
 #include "net/tcp.h"
 #include "os/filesystem.h"
 #include "os/kernel.h"
@@ -75,7 +74,6 @@ using FederatedSearchFn = std::function<util::Result<FederatedPage>(
 
 struct ProviderConfig {
   std::string name = "w5.org";
-  util::Micros session_ttl_micros = 30ll * 60 * 1000 * 1000;  // 30 min
   // Per-application resource limits (paper §3.5). Defaults generous but
   // finite so a rogue app is always eventually contained.
   os::ResourceVector app_limits{
@@ -92,24 +90,11 @@ struct ProviderConfig {
       .network_bytes = 4ll << 20,
   };
   bool strip_javascript = true;  // §3.5 client-side support
-  net::ParserLimits http_limits;
-  // ---- Robustness (DESIGN.md §12) ----------------------------------------
-  // Slow-client reaping defaults: a client gets 10 s to deliver its
-  // header block, 30 s for the declared body, and 10 s to drain each
-  // response before the connection is reaped (0 disables a deadline).
-  net::ServerOptions http_robustness{
-      .header_deadline_micros = 10'000'000,
-      .body_deadline_micros = 30'000'000,
-      .write_timeout_micros = 10'000'000,
-  };
   // ---- Serving (DESIGN.md §15) --------------------------------------------
   // Reactor I/O loop threads. One loop multiplexes tens of thousands of
   // connections and runs their handlers inline; raise it to use more
   // cores.
   std::size_t io_threads = 1;
-  // Per-request wall-clock budget stamped into RequestContext at the
-  // gateway (tightened by a client X-W5-Deadline-Ms header; 0 disables).
-  util::Micros request_deadline_micros = 30'000'000;
   // ---- Observability (DESIGN.md §16) --------------------------------------
   // Requests slower than this land in the flight recorder with their full
   // span dump, queryable at /debug/slowlog (0 disables the recorder).
@@ -120,15 +105,6 @@ struct ProviderConfig {
   // snapshot + WAL tail) and every later mutation is WAL-logged per the
   // configured mode before its request completes.
   store::DurabilityConfig durability;
-  // ---- Store query engine (DESIGN.md §17) ---------------------------------
-  // Secondary indexes registered at boot (and re-registered before
-  // durability recovery, so replayed records land indexed). The default
-  // covers the dating app's city lookups — the platform's one built-in
-  // equality query.
-  std::vector<store::IndexSpec> store_indexes{{"profiles", "city"}};
-  // §3.5 covert-channel knobs: count quantization + per-principal query
-  // budgets. Defaults (quantum 1, budget 0) are fully open.
-  store::QueryGovernorConfig query_governor;
 };
 
 class Provider {
@@ -178,6 +154,12 @@ class Provider {
     return federated_search_;
   }
 
+  // The labels every trusted write path stamps on a user's record
+  // (DESIGN.md §3.3): S = {sec(u)}, plus rp(u) when the owner's policy
+  // keeps `collection` private, and I = {wp(u)}.
+  difc::ObjectLabels record_labels(const UserAccount& owner,
+                                   const std::string& collection) const;
+
   // ---- Conveniences used by tests, benches, and examples --------------------
   util::Status signup(const std::string& user, const std::string& password,
                       const std::string& display_name = {});
@@ -198,18 +180,12 @@ class Provider {
   // instead.
   std::size_t serve(net::TcpListener& listener);
 
-  // Robustness counters for serve(): timeouts, reaped connections,
-  // 413/431 rejections (DESIGN.md §12). Exported via /metrics.
+  // serve()'s connection and robustness counters (DESIGN.md §12, §15),
+  // exported via /metrics and /debug/statusz.
   net::ServerStats& server_stats() noexcept { return server_stats_; }
   const net::ServerStats& server_stats() const noexcept {
     return server_stats_;
   }
-
-  // Connection-plane gauges/counters for serve() (DESIGN.md §15):
-  // open/idle levels, accepts, timeout closes, resets. Exported via
-  // /metrics.
-  net::ConnStats& conn_stats() noexcept { return conn_stats_; }
-  const net::ConnStats& conn_stats() const noexcept { return conn_stats_; }
 
   // Builds + dispatches a request in one call; `session` becomes the
   // session cookie when non-empty.
@@ -280,7 +256,6 @@ class Provider {
   // every mutable subsystem above synchronizes internally with annotated
   // util::Mutex/SharedMutex locks.
   net::ServerStats server_stats_;
-  net::ConnStats conn_stats_;
   // Durability plane; components hold a MutationLog* into it, and the
   // destructor closes it before they are torn down.
   std::unique_ptr<store::DurableStore> durable_;

@@ -38,18 +38,15 @@ util::Json serving_section(Provider& provider) {
   const net::ServerStats& stats = provider.server_stats();
   util::Json requests = util::Json::object();
   requests["handled"] = from_u64(stats.handled_total.load());
-  requests["timeouts"] = from_u64(stats.timeouts_total.load());
   requests["reaped"] = from_u64(stats.reaped_total.load());
   requests["rejected_413"] = from_u64(stats.rejected_413_total.load());
   requests["rejected_431"] = from_u64(stats.rejected_431_total.load());
   serving["requests"] = std::move(requests);
-  const net::ConnStats& conns = provider.conn_stats();
   util::Json connections = util::Json::object();
-  connections["open"] = conns.open.load();
-  connections["idle"] = conns.idle.load();
-  connections["accepted"] = from_u64(conns.accepted_total.load());
-  connections["timeout_closes"] = from_u64(conns.timeout_closes_total.load());
-  connections["resets"] = from_u64(conns.reset_total.load());
+  connections["open"] = stats.open.load();
+  connections["idle"] = stats.idle.load();
+  connections["accepted"] = from_u64(stats.accepted_total.load());
+  connections["resets"] = from_u64(stats.reset_total.load());
   serving["connections"] = std::move(connections);
   return serving;
 }

@@ -5,7 +5,10 @@
 #include <chrono>
 #include <limits>
 
+#include "net/http.h"
+#include "net/tracing.h"
 #include "util/log.h"
+#include "util/strings.h"
 
 namespace w5::platform {
 
@@ -83,16 +86,6 @@ std::string next_trace_id() {
   x *= 0x94d049bb133111ebULL;
   x ^= x >> 31;
   return to_hex12(x >> 16);  // top 48 bits of the mixed value
-}
-
-bool valid_trace_id(std::string_view id) {
-  if (id.empty() || id.size() > 64) return false;
-  for (const char c : id) {
-    const bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-                    (c >= 'A' && c <= 'Z') || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 util::Json Trace::to_json() const {
@@ -254,7 +247,7 @@ RequestContext::RequestContext(std::string_view inherited_id,
   // Per-thread sampling counter: same 1-in-N rate overall, no shared
   // cache line on the request path.
   thread_local std::uint64_t sample_counter = 0;
-  if (valid_trace_id(inherited_id)) {
+  if (net::valid_trace_token(inherited_id)) {
     trace_.id = std::string(inherited_id);
     inherited_ = true;
     spans_enabled_ = true;  // the caller asked for this trace by id
@@ -277,6 +270,25 @@ RequestContext::RequestContext(std::string_view inherited_id,
   (void)inherited_id;
   (void)sampling;
 #endif
+}
+
+namespace {
+
+RequestContext::Sampling sampling_of(const net::Headers& headers) {
+  const auto sampled = headers.get(net::kSampledHeader);
+  if (sampled == "0") return RequestContext::Sampling::kOff;
+  if (sampled == "1") return RequestContext::Sampling::kOn;
+  return RequestContext::Sampling::kInherit;
+}
+
+}  // namespace
+
+RequestContext::RequestContext(const net::Headers& headers)
+    : RequestContext(headers.get(net::kTraceHeader).value_or(std::string()),
+                     sampling_of(headers)) {
+  if (const auto parent = headers.get(net::kParentHeader);
+      parent && util::parse_u64(*parent))
+    set_parent_span(*parent);
 }
 
 RequestContext::~RequestContext() {
@@ -374,6 +386,19 @@ Trace RequestContext::finish() {
     remote_spans_.clear();
   }
   return std::move(trace_);
+}
+
+Trace RequestContext::finish(net::HttpResponse& response) {
+  set_status(response.status);
+  if (!id().empty())
+    response.headers.set(std::string(net::kTraceHeader), id());
+  Trace trace = finish();
+  if (inherited_ && trace.sampled) {
+    std::string wire = encode_spans_for_wire(trace);
+    if (!wire.empty())
+      response.headers.set(std::string(net::kSpansHeader), std::move(wire));
+  }
+  return trace;
 }
 
 void RequestContext::set_deadline(util::Micros absolute_micros) {

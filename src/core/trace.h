@@ -28,6 +28,11 @@
 #include "util/json.h"
 #include "util/lock_ranks.h"
 
+namespace w5::net {
+class Headers;
+struct HttpResponse;
+}  // namespace w5::net
+
 namespace w5::platform {
 
 struct TraceSpan {
@@ -158,7 +163,7 @@ class RequestContext {
   // forces spans on.
   enum class Sampling : std::uint8_t { kInherit, kOn, kOff };
 
-  // inherited_id: a validated upstream trace id continues that trace
+  // inherited_id: a token-shaped upstream trace id continues that trace
   // (federation peers forward X-W5-Trace); empty or invalid mints fresh.
   //
   // Trace timing is TSC-based (util::cycle_count + a once-calibrated
@@ -169,6 +174,12 @@ class RequestContext {
   // so wall time is the more useful of the two.
   explicit RequestContext(std::string_view inherited_id = {},
                           Sampling sampling = Sampling::kInherit);
+  // The perimeter's constructor (the gateway and the federation
+  // endpoints): joins the trace an inbound request names. X-W5-Trace is
+  // the inherited id, X-W5-Sampled ("0" or "1") the upstream sampling
+  // decision, and a numeric X-W5-Parent the upstream span this request
+  // hangs under.
+  explicit RequestContext(const net::Headers& headers);
   ~RequestContext();
 
   RequestContext(const RequestContext&) = delete;
@@ -233,6 +244,12 @@ class RequestContext {
 
   // Stamps the total duration and surrenders the trace for the buffer.
   Trace finish();
+  // The perimeter's finish: records the response status, echoes the id in
+  // X-W5-Trace, and hands a caller that forwarded its trace id this
+  // request's sampled span dump in X-W5-Spans, offsets relative to our
+  // request start, for it to stitch. A trace root has nobody to stitch
+  // into.
+  Trace finish(net::HttpResponse& response);
 
   static RequestContext* current() noexcept;
   // Trace id of the thread's active request, "" when none — safe to call
@@ -286,11 +303,9 @@ class ScopedSpan {
 
 // Fresh process-unique trace id: 12 hex chars (48 mixed bits — short
 // enough for SSO so id copies never allocate, mixed rather than
-// sequential so ids are not enumerable through GET /trace/:id).
+// sequential so ids are not enumerable through GET /trace/:id). An
+// inherited id must pass net::valid_trace_token.
 std::string next_trace_id();
-
-// True when `id` is shaped like a trace id ([0-9a-zA-Z_-]{1,64}).
-bool valid_trace_id(std::string_view id);
 
 // ---- Cross-hop span wire format (DESIGN.md §16) ----------------------------
 // X-W5-Spans response header: spans joined by '|', fields by ';':

@@ -17,6 +17,21 @@ std::string hash_password(const std::string& salt,
   return util::hex_encode(digest);
 }
 
+// Nothing reads a front-end process's name (it would only own a tag the
+// process minted, and these mint none), so every one shares a constant.
+ActingUser::ActingUser(os::Kernel& kernel, const UserAccount& account)
+    : kernel_(kernel),
+      pid_(kernel.spawn_trusted(
+          "frontend",
+          difc::LabelState({account.secrecy_tag}, {account.write_tag},
+                           difc::CapabilitySet{
+                               difc::plus(account.read_tag)}))) {}
+
+ActingUser::~ActingUser() {
+  (void)kernel_.exit(pid_);
+  kernel_.reap(pid_);
+}
+
 namespace {
 
 bool valid_user_id(const std::string& id) {

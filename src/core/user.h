@@ -37,6 +37,25 @@ struct UserAccount {
   std::string password_hash;  // sha256(salt || password), iterated
 };
 
+// The one way trusted front-end code acts for a user (DESIGN.md §3.3): a
+// process labeled S = {sec(u)}, I = {wp(u)}, holding rp(u)+. It may
+// create u's records, overwrite and delete them, private ones included,
+// and write nobody else's. The destructor exits and reaps it.
+class ActingUser {
+ public:
+  ActingUser(os::Kernel& kernel, const UserAccount& account);
+  ~ActingUser();
+
+  ActingUser(const ActingUser&) = delete;
+  ActingUser& operator=(const ActingUser&) = delete;
+
+  os::Pid pid() const noexcept { return pid_; }
+
+ private:
+  os::Kernel& kernel_;
+  os::Pid pid_;
+};
+
 // Thread-safe: shared_mutex over both maps (signup is rare, lookups are
 // per-request). UserAccount* from find()/create() stays valid until
 // remove(id) — the map is node-based and account fields are never

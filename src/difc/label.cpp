@@ -26,22 +26,6 @@ bool Label::subset_of(const Label& other) const {
                        tags_.end());
 }
 
-bool Label::overlaps(const Label& other) const {
-  // Linear merge walk; callers previously materialized intersect_with()
-  // just to call empty() on the result.
-  auto a = tags_.begin();
-  auto b = other.tags_.begin();
-  while (a != tags_.end() && b != other.tags_.end()) {
-    if (*a == *b) return true;
-    if (*a < *b) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return false;
-}
-
 Label Label::union_with(const Label& other) const {
   Label out;
   out.tags_.reserve(tags_.size() + other.tags_.size());

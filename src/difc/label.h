@@ -26,7 +26,6 @@ class Label {
 
   // Lattice operations.
   bool subset_of(const Label& other) const;          // this ⊆ other
-  bool overlaps(const Label& other) const;           // this ∩ other ≠ ∅
   Label union_with(const Label& other) const;        // this ∪ other
   Label intersect_with(const Label& other) const;    // this ∩ other
   Label subtract(const Label& other) const;          // this − other

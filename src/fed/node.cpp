@@ -7,9 +7,10 @@
 #include "fed/merge.h"
 #include "net/tracing.h"
 #include "rank/relevance.h"
-#include "util/strings.h"
 
 namespace w5::fed {
+
+using platform::json_error;
 
 Node::Node(std::string name, platform::Provider& provider,
            net::InMemoryNetwork& network)
@@ -55,17 +56,11 @@ util::Status Node::write_local(const std::string& user,
   record.id = id;
   record.owner = user;
   record.data = std::move(data);
-  record.labels =
-      difc::ObjectLabels{difc::Label{account->secrecy_tag},
-                         difc::Label{account->write_tag}};
-  // Trusted front-end path endorsed as the user (same as /data upload).
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "fed:put:" + user,
-      difc::LabelState({account->secrecy_tag}, {account->write_tag}, {}));
-  auto status = provider_.store().put(pid, std::move(record));
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
-  return status;
+  // The labels and the acting process a /data upload uses.
+  record.labels = provider_.record_labels(*account, collection);
+  return provider_.store().put(
+      platform::ActingUser(provider_.kernel(), *account).pid(),
+      std::move(record));
 }
 
 util::Status Node::put_user_record(const std::string& user,
@@ -89,13 +84,11 @@ util::Status Node::delete_user_record(const std::string& user,
   const platform::UserAccount* account = provider_.users().find(user);
   if (account == nullptr)
     return util::make_error("user.not_found", "no user '" + user + "'");
-  const os::Pid pid = provider_.kernel().spawn_trusted(
-      "fed:delete:" + user,
-      difc::LabelState({account->secrecy_tag}, {account->write_tag}, {}));
-  auto status = provider_.store().remove(pid, collection, id);
-  (void)provider_.kernel().exit(pid);
-  provider_.kernel().reap(pid);
-  if (!status.ok()) return status;
+  if (auto status = provider_.store().remove(
+          platform::ActingUser(provider_.kernel(), *account).pid(),
+          collection, id);
+      !status.ok())
+    return status;
   clocks_[{collection, id}].tick(name_);
   tombstones_[{collection, id}] = provider_.clock().now();
   return util::ok_status();
@@ -108,56 +101,31 @@ bool Node::has_tombstone(const std::string& collection,
 
 net::HttpResponse Node::handle_request(const net::HttpRequest& request) {
   // Federation serving perimeter: the same trace plumbing the gateway
-  // gives app requests. A validated inbound X-W5-Trace makes this hop a
-  // child of the dialer's trace; the response carries our span dump back
-  // (X-W5-Spans) for stitching.
-  const auto inherited = request.headers.get(net::kTraceHeader);
-  platform::RequestContext::Sampling sampling =
-      platform::RequestContext::Sampling::kInherit;
-  if (const auto sampled = request.headers.get(net::kSampledHeader)) {
-    if (*sampled == "0") sampling = platform::RequestContext::Sampling::kOff;
-    if (*sampled == "1") sampling = platform::RequestContext::Sampling::kOn;
-  }
-  platform::RequestContext context(
-      inherited ? std::string_view(*inherited) : std::string_view{},
-      sampling);
-  if (const auto parent = request.headers.get(net::kParentHeader)) {
-    if (util::parse_u64(*parent)) context.set_parent_span(*parent);
-  }
+  // gives app requests. A token-shaped inbound X-W5-Trace makes this hop
+  // a child of the dialer's trace; the response carries our span dump
+  // back (X-W5-Spans) for stitching.
+  platform::RequestContext context(request.headers);
   static const std::string kPullRoute = "fed.pull";
   static const std::string kQueryRoute = "fed.query";
   const bool is_query = request.parsed.path == "/fed/query";
   context.set_route(is_query ? kQueryRoute : kPullRoute);
   net::HttpResponse response =
       is_query ? serve_query(request) : serve_pull(request);
-  context.set_status(response.status);
-  if (!context.id().empty())
-    response.headers.set(std::string(net::kTraceHeader), context.id());
-  platform::Trace trace = context.finish();
-  if (context.inherited() && trace.sampled) {
-    std::string wire = platform::encode_spans_for_wire(trace);
-    if (!wire.empty())
-      response.headers.set(std::string(net::kSpansHeader), std::move(wire));
-  }
-  if (!trace.id.empty()) provider_.traces().record(std::move(trace));
+  provider_.traces().record(context.finish(response));
   return response;
 }
 
 net::HttpResponse Node::serve_pull(const net::HttpRequest& request) {
-  const auto fail = [](int status, const std::string& code) {
-    util::Json body;
-    body["error"] = code;
-    return net::HttpResponse::json(status, body.dump());
-  };
   if (request.parsed.path != "/fed/pull" ||
       request.method != net::Method::kPost) {
-    return fail(404, "unknown federation endpoint");
+    return json_error(404, "unknown federation endpoint");
   }
   auto body = util::Json::parse(request.body);
-  if (!body.ok()) return fail(400, "body must be JSON");
+  if (!body.ok()) return json_error(400, "body must be JSON");
   const std::string peer = body.value().at("peer").as_string();
   const std::string user = body.value().at("user").as_string();
-  if (peer.empty() || user.empty()) return fail(400, "peer and user required");
+  if (peer.empty() || user.empty())
+    return json_error(400, "peer and user required");
 
   // The §3.3 consent check: this user must have handed the mirror
   // declassifier their export privilege toward this peer.
@@ -165,7 +133,7 @@ net::HttpResponse Node::serve_pull(const net::HttpRequest& request) {
     provider_.audit().record(platform::AuditKind::kExportBlocked,
                              "fed/mirror", user,
                              allowed.error().code + " peer=" + peer);
-    return fail(403, allowed.error().code);
+    return json_error(403, allowed.error().code);
   }
 
   // Export every record the user owns whose clock the peer is missing;
@@ -216,20 +184,15 @@ net::HttpResponse Node::serve_pull(const net::HttpRequest& request) {
 }
 
 net::HttpResponse Node::serve_query(const net::HttpRequest& request) {
-  const auto fail = [](int status, const std::string& code) {
-    util::Json body;
-    body["error"] = code;
-    return net::HttpResponse::json(status, body.dump());
-  };
   if (request.method != net::Method::kPost)
-    return fail(404, "unknown federation endpoint");
+    return json_error(404, "unknown federation endpoint");
   auto body = util::Json::parse(request.body);
-  if (!body.ok()) return fail(400, "body must be JSON");
+  if (!body.ok()) return json_error(400, "body must be JSON");
   const std::string peer = body.value().at("peer").as_string();
   const std::string user = body.value().at("user").as_string();
   const std::string collection = body.value().at("collection").as_string();
   if (peer.empty() || user.empty() || collection.empty())
-    return fail(400, "peer, user, and collection required");
+    return json_error(400, "peer, user, and collection required");
 
   // The same §3.3 consent gate as /fed/pull: absent this user's explicit
   // authorization toward this peer, not even record *names* answer.
@@ -237,7 +200,7 @@ net::HttpResponse Node::serve_query(const net::HttpRequest& request) {
     provider_.audit().record(platform::AuditKind::kExportBlocked,
                              "fed/metasearch", user,
                              allowed.error().code + " peer=" + peer);
-    return fail(403, allowed.error().code);
+    return json_error(403, allowed.error().code);
   }
 
   store::QueryOptions options;
@@ -263,8 +226,9 @@ net::HttpResponse Node::serve_query(const net::HttpRequest& request) {
       provider_.store().query(os::kKernelPid, collection, options);
   if (!records.ok()) {
     answer_span.set_note("err=" + records.error().code);
-    return fail(records.error().code == "store.query_budget" ? 429 : 403,
-                records.error().code);
+    return json_error(
+        records.error().code == "store.query_budget" ? 429 : 403,
+        records.error().code);
   }
   util::Json items = util::Json::array();
   for (const store::Record& record : records.value()) {
@@ -520,13 +484,9 @@ util::Result<SyncStats> Node::apply_records(const std::string& peer,
             provider_.users().find(owner);
         if (account == nullptr)
           return util::make_error("user.not_found", "no user '" + owner + "'");
-        const os::Pid pid = provider_.kernel().spawn_trusted(
-            "fed:delete:" + owner,
-            difc::LabelState({account->secrecy_tag}, {account->write_tag},
-                             {}));
-        (void)provider_.store().remove(pid, collection, id);
-        (void)provider_.kernel().exit(pid);
-        provider_.kernel().reap(pid);
+        (void)provider_.store().remove(
+            platform::ActingUser(provider_.kernel(), *account).pid(),
+            collection, id);
         tombstones_[{collection, id}] = item.at("updated").as_int(0);
       } else {
         // Re-classify under OUR tags for the owner (the import half of

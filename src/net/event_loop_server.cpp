@@ -185,13 +185,12 @@ struct EventLoopHttpServer::Loop {
 
 EventLoopHttpServer::EventLoopHttpServer(
     Handler handler, ParserLimits limits, ServerOptions options,
-    EventLoopOptions loop_options, ServerStats* stats, ConnStats* conn_stats)
+    EventLoopOptions loop_options, ServerStats* stats)
     : handler_(std::move(handler)),
       limits_(limits),
       options_(options),
       loop_options_(loop_options),
       stats_(stats),
-      conn_stats_(conn_stats),
       stage_enabled_(util::kTelemetryEnabled &&
                      static_cast<bool>(loop_options_.telemetry.on_stage)),
       next_conn_id_(kFirstConnId) {}
@@ -407,8 +406,8 @@ void EventLoopHttpServer::accept_ready(Loop& loop) {
 
 void EventLoopHttpServer::add_conn(Loop& loop, std::unique_ptr<Connection> io,
                                    int fd, std::uint64_t id) {
-  count(conn_stats_ != nullptr ? &conn_stats_->accepted_total : nullptr);
-  gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, 1);
+  count(stats_ != nullptr ? &stats_->accepted_total : nullptr);
+  gauge_add(stats_ != nullptr ? &stats_->open : nullptr, 1);
 
   auto owned = std::make_unique<Conn>(limits_);
   Conn& conn = *owned;
@@ -421,7 +420,7 @@ void EventLoopHttpServer::add_conn(Loop& loop, std::unique_ptr<Connection> io,
   ev.data.u64 = id;
   if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
     conn.io->close();
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, -1);
+    gauge_add(stats_ != nullptr ? &stats_->open : nullptr, -1);
     return;
   }
   loop.conns.emplace(id, std::move(owned));
@@ -505,7 +504,7 @@ void EventLoopHttpServer::handle_event(Loop& loop, std::uint64_t id,
     }
   }
   if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-    count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
+    count(stats_ != nullptr ? &stats_->reset_total : nullptr);
     destroy(loop, *it->second);
   }
 }
@@ -543,11 +542,10 @@ void EventLoopHttpServer::pump_read(Loop& loop, Conn& conn) {
       if (code == "net.timeout") {
         // An injected drop (FaultyConnection): nothing further arrives on
         // this connection — a terminal timeout, as in net::HttpServer.
-        count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
         reap(loop, conn, conn.got_bytes);
         return;
       }
-      count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
+      count(stats_ != nullptr ? &stats_->reset_total : nullptr);
       destroy(loop, conn);
       return;
     }
@@ -734,7 +732,7 @@ void EventLoopHttpServer::pump_write(Loop& loop, Conn& conn) {
     }
     auto n = conn.io->writev_some(iov, iov_count);
     if (!n.ok()) {
-      count(conn_stats_ != nullptr ? &conn_stats_->reset_total : nullptr);
+      count(stats_ != nullptr ? &stats_->reset_total : nullptr);
       destroy(loop, conn);
       return;
     }
@@ -775,7 +773,6 @@ void EventLoopHttpServer::on_timer(Loop& loop, std::uint64_t id,
   // wheel entry was scheduled.
   if (!conn.timer_armed || conn.timer_deadline != deadline) return;
   conn.timer_armed = false;
-  count(stats_ != nullptr ? &stats_->timeouts_total : nullptr);
   switch (conn.state) {
     case Conn::State::kIdle:
       reap(loop, conn, /*send_408=*/false);  // nothing asked, nothing owed
@@ -808,7 +805,7 @@ void EventLoopHttpServer::enter_idle(Loop& loop, Conn& conn) {
   conn.state = Conn::State::kIdle;
   conn.got_bytes = false;
   if (!conn.counted_idle) {
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->idle : nullptr, 1);
+    gauge_add(stats_ != nullptr ? &stats_->idle : nullptr, 1);
     conn.counted_idle = true;
   }
   // The header deadline doubles as the idle cap (ServerOptions contract).
@@ -818,14 +815,13 @@ void EventLoopHttpServer::enter_idle(Loop& loop, Conn& conn) {
 
 void EventLoopHttpServer::leave_idle(Conn& conn) {
   if (conn.counted_idle) {
-    gauge_add(conn_stats_ != nullptr ? &conn_stats_->idle : nullptr, -1);
+    gauge_add(stats_ != nullptr ? &stats_->idle : nullptr, -1);
     conn.counted_idle = false;
   }
 }
 
 void EventLoopHttpServer::reap(Loop& loop, Conn& conn, bool send_408) {
   count(stats_ != nullptr ? &stats_->reaped_total : nullptr);
-  count(conn_stats_ != nullptr ? &conn_stats_->timeout_closes_total : nullptr);
   if (send_408) {
     // Best-effort single write: a client slow enough to be reaped rarely
     // has a full receive window, and we will not wait on one that does.
@@ -874,7 +870,7 @@ void EventLoopHttpServer::destroy(Loop& loop, Conn& conn) {
   disarm_timer(conn);
   leave_idle(conn);
   conn.io->close();  // closing the fd also drops it from the epoll set
-  gauge_add(conn_stats_ != nullptr ? &conn_stats_->open : nullptr, -1);
+  gauge_add(stats_ != nullptr ? &stats_->open : nullptr, -1);
   if (LoopStats* lstats = loop_stats(loop); lstats != nullptr)
     lstats->connections.fetch_sub(1, std::memory_order_relaxed);
   loop.conns.erase(conn.id);  // frees `conn` — caller must not touch it

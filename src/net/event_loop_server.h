@@ -57,25 +57,19 @@ struct ServerOptions {
   util::Micros write_timeout_micros = 0;
 };
 
-// Shared robustness counters, exported at /metrics. Owned by the caller
-// (the Provider) and written with relaxed atomics from every loop.
+// serve()'s counters (DESIGN.md §12, §15), exported at /metrics and
+// /debug/statusz. Owned by the caller (the Provider) and written with
+// relaxed atomics from every loop. open and idle are live levels; the
+// rest are lifetime totals.
 struct ServerStats {
-  std::atomic<std::uint64_t> handled_total{0};     // requests served
-  std::atomic<std::uint64_t> timeouts_total{0};    // read/write timeouts seen
-  std::atomic<std::uint64_t> reaped_total{0};      // connections killed by deadline
-  std::atomic<std::uint64_t> rejected_413_total{0};
-  std::atomic<std::uint64_t> rejected_431_total{0};
-};
-
-// Connection-plane telemetry (DESIGN.md §15), exported as the w5_net_*
-// connection family at /metrics. Gauges are live levels; counters are
-// lifetime totals.
-struct ConnStats {
   std::atomic<std::int64_t> open{0};   // accepted and not yet closed
   std::atomic<std::int64_t> idle{0};   // open, keep-alive, no request bytes
   std::atomic<std::uint64_t> accepted_total{0};
-  std::atomic<std::uint64_t> timeout_closes_total{0};  // closed by deadline
-  std::atomic<std::uint64_t> reset_total{0};  // peer reset / abrupt close
+  std::atomic<std::uint64_t> handled_total{0};  // requests served
+  std::atomic<std::uint64_t> reaped_total{0};   // closed by a deadline
+  std::atomic<std::uint64_t> reset_total{0};    // peer reset / abrupt close
+  std::atomic<std::uint64_t> rejected_413_total{0};
+  std::atomic<std::uint64_t> rejected_431_total{0};
 };
 
 // Wraps each accepted connection before the reactor performs any I/O on
@@ -171,8 +165,7 @@ class EventLoopHttpServer {
   explicit EventLoopHttpServer(Handler handler, ParserLimits limits = {},
                                ServerOptions options = {},
                                EventLoopOptions loop_options = {},
-                               ServerStats* stats = nullptr,
-                               ConnStats* conn_stats = nullptr);
+                               ServerStats* stats = nullptr);
   ~EventLoopHttpServer();
 
   EventLoopHttpServer(const EventLoopHttpServer&) = delete;
@@ -231,7 +224,6 @@ class EventLoopHttpServer {
   ServerOptions options_;
   EventLoopOptions loop_options_;
   ServerStats* stats_;
-  ConnStats* conn_stats_;
   // Stage attribution on: an on_stage sink is installed (and telemetry
   // is compiled in) — gates every per-request wall_now() stamp.
   bool stage_enabled_ = false;

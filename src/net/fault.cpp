@@ -206,15 +206,6 @@ FileFaultPlan FileFaultPlan::seeded(std::uint64_t seed,
   return plan;
 }
 
-FileFaultPlan FileFaultPlan::seeded_crash(std::uint64_t seed,
-                                          FileFaultProfile profile,
-                                          std::uint64_t crash_offset) {
-  FileFaultPlan plan = seeded(seed, profile);
-  const util::MutexLock lock(plan.state_->mutex);
-  plan.state_->crash_offset = crash_offset;
-  return plan;
-}
-
 std::size_t FileFaultPlan::admit_write(std::size_t requested) {
   State& s = *state_;
   const util::MutexLock lock(s.mutex);
@@ -282,10 +273,9 @@ FaultyFile& FaultyFile::operator=(FaultyFile&& other) noexcept {
   return *this;
 }
 
-util::Result<FaultyFile> FaultyFile::open_with_flags(const std::string& path,
-                                                     int flags,
-                                                     FileFaultPlan plan) {
-  const int fd = ::open(path.c_str(), flags, 0644);
+util::Result<FaultyFile> FaultyFile::create(const std::string& path,
+                                            FileFaultPlan plan) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return util::make_error("io.open", "cannot open '" + path + "': " +
                                            std::strerror(errno));
@@ -294,17 +284,6 @@ util::Result<FaultyFile> FaultyFile::open_with_flags(const std::string& path,
   file.fd_ = fd;
   file.plan_ = std::move(plan);
   return file;
-}
-
-util::Result<FaultyFile> FaultyFile::create(const std::string& path,
-                                            FileFaultPlan plan) {
-  return open_with_flags(path, O_WRONLY | O_CREAT | O_TRUNC, std::move(plan));
-}
-
-util::Result<FaultyFile> FaultyFile::open_append(const std::string& path,
-                                                 FileFaultPlan plan) {
-  return open_with_flags(path, O_WRONLY | O_CREAT | O_APPEND,
-                         std::move(plan));
 }
 
 util::Status FaultyFile::write_all(std::string_view data) {

@@ -138,10 +138,6 @@ class FileFaultPlan {
   // stays dead.
   static FileFaultPlan error_at(std::uint64_t offset);
   static FileFaultPlan seeded(std::uint64_t seed, FileFaultProfile profile);
-  // Seeded short writes AND a crash point, for torn-frame matrices.
-  static FileFaultPlan seeded_crash(std::uint64_t seed,
-                                    FileFaultProfile profile,
-                                    std::uint64_t crash_offset);
 
   // Consumes one write op: how many of `requested` bytes reach the disk.
   // Advances the cumulative offset by the *requested* size so the crash
@@ -170,11 +166,9 @@ class FaultyFile {
   FaultyFile(FaultyFile&& other) noexcept;
   FaultyFile& operator=(FaultyFile&& other) noexcept;
 
-  // Creates (truncating) or opens for append.
+  // Creates the file, truncating any existing one.
   static util::Result<FaultyFile> create(const std::string& path,
                                          FileFaultPlan plan);
-  static util::Result<FaultyFile> open_append(const std::string& path,
-                                              FileFaultPlan plan);
 
   // Writes all of `data`, looping over injected short writes. Bytes past
   // the plan's crash point are dropped but reported as written.
@@ -191,10 +185,6 @@ class FaultyFile {
   void close();
 
  private:
-  static util::Result<FaultyFile> open_with_flags(const std::string& path,
-                                                  int flags,
-                                                  FileFaultPlan plan);
-
   int fd_ = -1;
   std::uint64_t persisted_ = 0;
   FileFaultPlan plan_;

@@ -24,9 +24,9 @@ inline constexpr std::string_view kParentHeader = "X-W5-Parent";
 inline constexpr std::string_view kSampledHeader = "X-W5-Sampled";
 inline constexpr std::string_view kSpansHeader = "X-W5-Spans";
 
-// True when `token` is shaped like a trace id ([0-9a-zA-Z_-]{1,64}).
-// Mirrors platform::valid_trace_id — duplicated here because net/ cannot
-// include core/trace.h (frozen layering DAG).
+// True when `token` is shaped like a trace id ([0-9a-zA-Z_-]{1,64}): the
+// one shape check for inbound and outbound trace ids, core's
+// RequestContext included.
 bool valid_trace_token(std::string_view token);
 
 // Snapshot of the calling thread's active trace context.

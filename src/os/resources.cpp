@@ -99,9 +99,4 @@ std::int64_t ResourceContainer::remaining(Resource r) const {
   return best;
 }
 
-void ResourceContainer::reset_usage() {
-  const util::MutexLock lock(tree_mutex());
-  usage_ = ResourceVector{};
-}
-
 }  // namespace w5::os

@@ -65,8 +65,6 @@ class ResourceContainer {
   // chain; kUnlimited when nothing binds.
   std::int64_t remaining(Resource r) const;
 
-  void reset_usage();
-
  private:
   bool would_exceed(Resource r, std::int64_t amount) const;
   // The root container's mutex. The capability is dynamic (whichever

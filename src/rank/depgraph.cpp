@@ -34,12 +34,6 @@ void DependencyGraph::add_edge(const std::string& from, const std::string& to,
   edges_.push_back(Edge{a, b, kind});
 }
 
-std::vector<std::uint32_t> DependencyGraph::out_degrees() const {
-  std::vector<std::uint32_t> degrees(names_.size(), 0);
-  for (const Edge& edge : edges_) ++degrees[edge.from];
-  return degrees;
-}
-
 std::vector<std::string> DependencyGraph::unreferenced() const {
   std::vector<bool> referenced(names_.size(), false);
   for (const Edge& edge : edges_) referenced[edge.to] = true;

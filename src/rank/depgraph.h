@@ -44,9 +44,6 @@ class DependencyGraph {
 
   const std::vector<Edge>& edges() const noexcept { return edges_; }
 
-  // Outgoing dependency counts per node (used for rank normalization).
-  std::vector<std::uint32_t> out_degrees() const;
-
   // Modules nothing depends on (rank sinks-in-reverse; useful diagnostics).
   std::vector<std::string> unreferenced() const;
 

@@ -452,10 +452,10 @@ TEST(DurableServeTest, ClientThatHangsUpMidPutLeavesTheOthersServed) {
     EXPECT_EQ(get.value().body, R"({"s":1})");
   }
   // Every abandoned connection is reclaimed; only the steady one is open.
-  for (int i = 0; i < 2000 && server.provider().conn_stats().open.load() != 1;
-       ++i)
+  for (int i = 0;
+       i < 2000 && server.provider().server_stats().open.load() != 1; ++i)
     std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(server.provider().conn_stats().open.load(), 1);
+  EXPECT_EQ(server.provider().server_stats().open.load(), 1);
 }
 
 // Spans of trace `id` by name, polled: the reactor attaches its stage

@@ -288,6 +288,85 @@ TEST_F(FederationTest, UnknownPeerIsUnreachable) {
   EXPECT_EQ(stats.error().code, "net.unreachable");
 }
 
+// bob keeps "diary" private (rp(bob) on every record there) and lets his
+// friends read the rest. Every trusted write path stamps the same labels:
+// a /data upload, the node's own write, and the peer's import of it.
+// amy, his friend, is refused all three.
+TEST_F(FederationTest, PrivateCollectionStaysReadProtectedOnEveryWritePath) {
+  authorize_bob_both_ways();
+  for (platform::Provider* provider : {&provider_a_, &provider_b_}) {
+    const std::string bob = provider->login("bob", "pwd").value();
+    ASSERT_EQ(provider->http(net::Method::kPost, "/data/friends/bob",
+                             R"({"friends":["amy"]})", bob)
+                  .status,
+              201);
+    ASSERT_EQ(provider->http(net::Method::kPost, "/policy",
+                             R"({"declassifier":"std/friends",
+                                 "private_collections":["diary"]})",
+                             bob)
+                  .status,
+              200);
+  }
+  const std::string bob_a = provider_a_.login("bob", "pwd").value();
+  ASSERT_EQ(provider_a_.http(net::Method::kPost, "/data/diary/uploaded",
+                             R"({"entry":"via data"})", bob_a)
+                .status,
+            201);
+  util::Json entry;
+  entry["entry"] = "via node";
+  ASSERT_TRUE(node_a_.put_user_record("bob", "diary", "written", entry).ok());
+  ASSERT_TRUE(node_b_.sync_from("providerA").ok());
+
+  const auto expect_private = [](platform::Provider& provider,
+                                 const std::string& id) {
+    const platform::UserAccount* bob = provider.users().find("bob");
+    auto record = provider.store().get(os::kKernelPid, "diary", id);
+    ASSERT_TRUE(record.ok()) << id;
+    EXPECT_EQ(record.value().labels.secrecy.to_string(),
+              (difc::Label{bob->secrecy_tag, bob->read_tag}).to_string())
+        << id;
+    EXPECT_EQ(record.value().labels.integrity.to_string(),
+              difc::Label{bob->write_tag}.to_string())
+        << id;
+    const std::string amy = provider.login("amy", "pwd").value();
+    const auto read =
+        provider.http(net::Method::kGet, "/data/diary/" + id, "", amy);
+    EXPECT_EQ(read.status, 403) << id << ": " << read.body;
+    EXPECT_EQ(read.body.find("via"), std::string::npos) << id;
+  };
+  expect_private(provider_a_, "uploaded");
+  expect_private(provider_a_, "written");
+  expect_private(provider_b_, "written");
+
+  // The control: amy may read bob's collections that are not private.
+  const std::string amy_a = provider_a_.login("amy", "pwd").value();
+  EXPECT_EQ(provider_a_.http(net::Method::kGet, "/data/friends/bob", "", amy_a)
+                .status,
+            200);
+}
+
+TEST_F(FederationTest, NodeDeleteReachesReadProtectedRecords) {
+  const std::string bob = provider_a_.login("bob", "pwd").value();
+  ASSERT_EQ(provider_a_.http(net::Method::kPost, "/policy",
+                             R"({"private_collections":["diary"]})", bob)
+                .status,
+            200);
+  ASSERT_EQ(provider_a_.http(net::Method::kPost, "/data/diary/d1",
+                             R"({"entry":"secret"})", bob)
+                .status,
+            201);
+  const platform::UserAccount* account = provider_a_.users().find("bob");
+  auto stored = provider_a_.store().get(os::kKernelPid, "diary", "d1");
+  ASSERT_TRUE(stored.ok());
+  ASSERT_TRUE(stored.value().labels.secrecy.contains(account->read_tag));
+
+  const util::Status deleted = node_a_.delete_user_record("bob", "diary", "d1");
+  ASSERT_TRUE(deleted.ok()) << deleted.error().code;
+  EXPECT_EQ(provider_a_.store().get(os::kKernelPid, "diary", "d1").error().code,
+            "store.not_found");
+  EXPECT_TRUE(node_a_.has_tombstone("diary", "d1"));
+}
+
 TEST_F(FederationTest, UserMissingOnReceivingSideFailsCleanly) {
   // carol exists only on A.
   ASSERT_TRUE(provider_a_.signup("carol", "pwd").ok());

@@ -171,7 +171,6 @@ class ReactorServer {
     ServerOptions options{};
     EventLoopOptions loop_options{};
     ServerStats* stats = nullptr;
-    ConnStats* conn_stats = nullptr;
   };
 
   explicit ReactorServer(Config config)
@@ -179,7 +178,7 @@ class ReactorServer {
                     ? std::move(config.respond)
                     : EventLoopHttpServer::blocking(std::move(config.handler)),
                 config.limits, config.options, std::move(config.loop_options),
-                config.stats, config.conn_stats) {
+                config.stats) {
     // Deep backlog: connection-burst tests outpace a single-core accept
     // loop, and a 16-deep SYN queue would stall them on retransmits.
     EXPECT_TRUE(listener_.listen(0, 512).ok());
@@ -205,8 +204,8 @@ class ReactorServer {
 };
 
 TEST(EventLoopServer, RoundtripAndShutdownCount) {
-  ConnStats conn_stats;
-  ReactorServer server({.conn_stats = &conn_stats});
+  ServerStats stats;
+  ReactorServer server({.stats = &stats});
   auto client = tcp_connect(server.port());
   ASSERT_TRUE(client.ok());
   HttpRequest request;
@@ -222,9 +221,9 @@ TEST(EventLoopServer, RoundtripAndShutdownCount) {
   EXPECT_EQ(response.value().headers.get("Connection"), "close");
   server.stop();
   EXPECT_EQ(server.accepted(), 1u);
-  EXPECT_EQ(conn_stats.accepted_total.load(), 1u);
-  EXPECT_EQ(conn_stats.open.load(), 0) << "open gauge must unwind to zero";
-  EXPECT_EQ(conn_stats.idle.load(), 0);
+  EXPECT_EQ(stats.accepted_total.load(), 1u);
+  EXPECT_EQ(stats.open.load(), 0) << "open gauge must unwind to zero";
+  EXPECT_EQ(stats.idle.load(), 0);
 }
 
 TEST(EventLoopServer, KeepAliveServesSequentialRequests) {
@@ -392,8 +391,8 @@ TEST(EventLoopServer, PipelinedRequestsBehindAParkedOneAnswerInOrder) {
 
 TEST(EventLoopServer, ClientGoneWhileParkedDropsTheAnswer) {
   ParkingLot lot;
-  ConnStats conn_stats;
-  ReactorServer server({.respond = lot.handler(), .conn_stats = &conn_stats});
+  ServerStats stats;
+  ReactorServer server({.respond = lot.handler(), .stats = &stats});
   {
     auto gone = tcp_connect(server.port());
     ASSERT_TRUE(gone.ok());
@@ -413,9 +412,9 @@ TEST(EventLoopServer, ClientGoneWhileParkedDropsTheAnswer) {
   response = read_response(*other.value());
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().body, "echo:after");
-  for (int i = 0; i < 2000 && conn_stats.open.load() != 1; ++i)
+  for (int i = 0; i < 2000 && stats.open.load() != 1; ++i)
     std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(conn_stats.open.load(), 1);
+  EXPECT_EQ(stats.open.load(), 1);
 }
 
 TEST(EventLoopServer, DeepPipelineDrainsIterativelyWithInlineDispatch) {
@@ -447,11 +446,9 @@ TEST(EventLoopServer, DeepPipelineDrainsIterativelyWithInlineDispatch) {
 
 TEST(EventLoopServer, SlowHeaderClientIsReapedWith408) {
   ServerStats stats;
-  ConnStats conn_stats;
   ReactorServer server({.options = {.header_deadline_micros = 150'000,
                                     .write_timeout_micros = 500'000},
-                        .stats = &stats,
-                        .conn_stats = &conn_stats});
+                        .stats = &stats});
   auto client = tcp_connect(server.port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.value()->write("GET /slow HT").ok());
@@ -463,8 +460,6 @@ TEST(EventLoopServer, SlowHeaderClientIsReapedWith408) {
   EXPECT_EQ(response.value().headers.get("Connection"), "close");
   EXPECT_LT(elapsed, 2s);
   EXPECT_GE(stats.reaped_total.load(), 1u);
-  EXPECT_GE(stats.timeouts_total.load(), 1u);
-  EXPECT_GE(conn_stats.timeout_closes_total.load(), 1u);
 
   // The loop is free again: a well-formed request succeeds promptly.
   auto healthy = tcp_connect(server.port());
@@ -496,7 +491,6 @@ TEST(EventLoopServer, StalledBodyIsReapedWith408) {
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().status, 408);
   EXPECT_GE(stats.reaped_total.load(), 1u);
-  EXPECT_GE(stats.timeouts_total.load(), 1u);
 }
 
 TEST(EventLoopServer, IdleKeepAliveConnectionIsClosedSilently) {
@@ -717,7 +711,6 @@ TEST(EventLoopServer, WriteTimeoutReapsNeverDrainingReceiver) {
   for (int i = 0; i < 4000 && stats.reaped_total.load() == 0; ++i)
     std::this_thread::sleep_for(1ms);
   EXPECT_GE(stats.reaped_total.load(), 1u);
-  EXPECT_GE(stats.timeouts_total.load(), 1u);
 }
 
 TEST(EventLoopServer, InjectedShortReadsReassemble) {
@@ -747,7 +740,7 @@ TEST(EventLoopServer, InjectedShortReadsReassemble) {
 }
 
 TEST(EventLoopServer, InjectedResetIsCountedAndServerSurvives) {
-  ConnStats conn_stats;
+  ServerStats stats;
   std::atomic<int> nth{0};
   EventLoopOptions loop_options;
   loop_options.decorate = [&nth](std::unique_ptr<Connection> inner)
@@ -761,7 +754,7 @@ TEST(EventLoopServer, InjectedResetIsCountedAndServerSurvives) {
     return inner;
   };
   ReactorServer server(
-      {.loop_options = std::move(loop_options), .conn_stats = &conn_stats});
+      {.loop_options = std::move(loop_options), .stats = &stats});
   {
     auto doomed = tcp_connect(server.port());
     ASSERT_TRUE(doomed.ok());
@@ -775,9 +768,9 @@ TEST(EventLoopServer, InjectedResetIsCountedAndServerSurvives) {
       EXPECT_EQ(n.value(), 0u);
     }
   }
-  for (int i = 0; i < 2000 && conn_stats.reset_total.load() == 0; ++i)
+  for (int i = 0; i < 2000 && stats.reset_total.load() == 0; ++i)
     std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(conn_stats.reset_total.load(), 1u);
+  EXPECT_EQ(stats.reset_total.load(), 1u);
 
   // The reactor shrugged it off: the next connection is served cleanly.
   auto healthy = tcp_connect(server.port());
@@ -798,8 +791,8 @@ TEST(EventLoopServer, HundredsOfIdleConnectionsHoldTheGauges) {
   // entries, not parked threads. Open a few hundred, let them sit, and
   // check the connection-plane gauges track them exactly.
   constexpr int kConns = 300;
-  ConnStats conn_stats;
-  ReactorServer server({.conn_stats = &conn_stats});
+  ServerStats stats;
+  ReactorServer server({.stats = &stats});
   std::vector<std::unique_ptr<Connection>> clients;
   clients.reserve(kConns);
   for (int i = 0; i < kConns; ++i) {
@@ -809,13 +802,13 @@ TEST(EventLoopServer, HundredsOfIdleConnectionsHoldTheGauges) {
   }
   // The loop counts a connection open before it counts it idle
   // (add_conn → enter_idle), so wait for both gauges.
-  for (int i = 0; i < 5000 && (conn_stats.open.load() < kConns ||
-                               conn_stats.idle.load() < kConns);
+  for (int i = 0; i < 5000 && (stats.open.load() < kConns ||
+                               stats.idle.load() < kConns);
        ++i)
     std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(conn_stats.open.load(), kConns);
-  EXPECT_EQ(conn_stats.idle.load(), kConns);
-  EXPECT_EQ(conn_stats.accepted_total.load(),
+  EXPECT_EQ(stats.open.load(), kConns);
+  EXPECT_EQ(stats.idle.load(), kConns);
+  EXPECT_EQ(stats.accepted_total.load(),
             static_cast<std::uint64_t>(kConns));
 
   // One of them wakes up and is served while the rest keep sleeping.
@@ -827,13 +820,13 @@ TEST(EventLoopServer, HundredsOfIdleConnectionsHoldTheGauges) {
   auto response = read_response(*clients[kConns / 2]);
   ASSERT_TRUE(response.ok()) << response.error().code;
   EXPECT_EQ(response.value().body, "echo:one of many");
-  EXPECT_EQ(conn_stats.open.load(), kConns);
+  EXPECT_EQ(stats.open.load(), kConns);
 
   clients.clear();  // mass hangup
-  for (int i = 0; i < 5000 && conn_stats.open.load() > 0; ++i)
+  for (int i = 0; i < 5000 && stats.open.load() > 0; ++i)
     std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(conn_stats.open.load(), 0);
-  EXPECT_EQ(conn_stats.idle.load(), 0);
+  EXPECT_EQ(stats.open.load(), 0);
+  EXPECT_EQ(stats.idle.load(), 0);
 }
 
 TEST(EventLoopServer, MultipleLoopsShareTheAcceptStream) {

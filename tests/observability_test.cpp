@@ -14,6 +14,7 @@
 #include "core/provider.h"
 #include "core/trace.h"
 #include "difc/label_table.h"
+#include "net/tracing.h"
 #include "util/log.h"
 #include "util/metrics.h"
 
@@ -104,10 +105,10 @@ TEST(ObservabilityTrace, IdsAreValidAndUnique) {
   // id (header echo, audit stamp, thread-local) stays within SSO.
   EXPECT_EQ(a.size(), 12u);
   EXPECT_NE(a, b);
-  EXPECT_TRUE(platform::valid_trace_id(a));
-  EXPECT_FALSE(platform::valid_trace_id(""));
-  EXPECT_FALSE(platform::valid_trace_id("has space"));
-  EXPECT_FALSE(platform::valid_trace_id(std::string(65, 'a')));
+  EXPECT_TRUE(net::valid_trace_token(a));
+  EXPECT_FALSE(net::valid_trace_token(""));
+  EXPECT_FALSE(net::valid_trace_token("has space"));
+  EXPECT_FALSE(net::valid_trace_token(std::string(65, 'a')));
 }
 
 TEST(ObservabilityTrace, RingBufferEvictsOldest) {
@@ -172,7 +173,7 @@ TEST_F(ObservabilityGatewayTest, TraceIdRoundTripsAndResolves) {
   ASSERT_EQ(response.status, 200);
   const auto trace_id = response.headers.get("X-W5-Trace");
   ASSERT_TRUE(trace_id.has_value());
-  EXPECT_TRUE(platform::valid_trace_id(*trace_id));
+  EXPECT_TRUE(net::valid_trace_token(*trace_id));
 
   const auto dump =
       provider_.http(Method::kGet, "/trace/" + *trace_id, "", alice_);
@@ -202,7 +203,7 @@ TEST_F(ObservabilityGatewayTest, InboundTraceHeaderValidatedBeforeReuse) {
   response = provider_.handle(request);
   const std::string echoed = response.headers.get("X-W5-Trace").value_or("");
   EXPECT_NE(echoed, "bad header!{}");
-  EXPECT_TRUE(platform::valid_trace_id(echoed));
+  EXPECT_TRUE(net::valid_trace_token(echoed));
 }
 
 TEST_F(ObservabilityGatewayTest, AppRequestTraceHasSpansAndAuditStamp) {
