@@ -11,11 +11,14 @@
 //   scripts/bench_json.sh observability   # two-build overhead comparison
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/audit.h"
 #include "core/gateway.h"
 #include "core/provider.h"
 #include "core/trace.h"
@@ -259,5 +262,33 @@ void BM_TraceSpan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceSpan);
+
+// Report-only: the slowest AuditLog::record() across wraparounds of a
+// default-sized log, fed tcp_small_mix-like events (one declassifier
+// decision and one export per request). A log that drops a fraction of
+// itself under its lock shows here as a multi-millisecond worst call.
+void BM_AuditRecordWraparound(benchmark::State& state) {
+  w5::util::WallClock clock;
+  for (auto _ : state) {
+    w5::platform::AuditLog log(clock);
+    const std::size_t records = std::size_t{6} << 17;  // ~5 wraparounds
+    double worst_us = 0;
+    for (std::size_t i = 0; i < records; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      if (i % 2 == 0)
+        log.record(w5::platform::AuditKind::kDeclassifierDecision,
+                   "std/friends", "sec(owner03)", "allow viewer=owner07");
+      else
+        log.record(w5::platform::AuditKind::kExportAllowed,
+                   "photoco/photos@1.0", "{t5,t6}", "viewer=owner07");
+      const std::chrono::duration<double, std::micro> took =
+          std::chrono::steady_clock::now() - start;
+      worst_us = std::max(worst_us, took.count());
+    }
+    state.counters["worst_record_us"] = worst_us;
+    state.counters["dropped"] = static_cast<double>(log.dropped());
+  }
+}
+BENCHMARK(BM_AuditRecordWraparound)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

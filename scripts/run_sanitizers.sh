@@ -36,7 +36,7 @@ run_tsan() {
   cmake --build build-tsan -j "$jobs" --target w5_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/w5_tests \
-    --gtest_filter='*Concurrency*:*FlowMemo*:*TcpEndToEnd*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*:*DurableServe*:WalTest.OnDurable*:DurableStoreTest.*:*Metasearch*'
+    --gtest_filter='*Concurrency*:AuditRing*:*FlowMemo*:*TcpEndToEnd*:*Ipc*:*Observability*:*FaultInjection*:*NetRobustness*:*EventLoopServer*:*TimerWheel*:*DurableServe*:WalTest.OnDurable*:DurableStoreTest.*:*Metasearch*'
 }
 
 run_asan() {

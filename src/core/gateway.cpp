@@ -1,8 +1,10 @@
 #include "core/gateway.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <exception>
-#include <set>
+#include <functional>
 
 #include "core/sanitizer.h"
 #include "core/statusz.h"
@@ -26,6 +28,48 @@ net::HttpResponse perimeter_denial() {
 // Every write-ahead-log error code is "wal.*" (store/wal.cpp).
 bool is_durability_error(const util::Error& error) {
   return error.code.starts_with("wal.");
+}
+
+// An audit field built on the stack, so the perimeter's audit records
+// allocate nothing. It keeps one byte past the log's field cap: a longer
+// text is cut there, and record() marks the cut exactly as it would for
+// the whole string.
+class AuditText {
+ public:
+  AuditText& operator<<(std::string_view text) {
+    const std::size_t n = std::min(text.size(), sizeof buf_ - size_);
+    if (n > 0) std::memcpy(buf_ + size_, text.data(), n);
+    size_ += n;
+    return *this;
+  }
+  // Spelled as difc::Label::to_string: "{t3,t7}".
+  AuditText& operator<<(const difc::Label& label) {
+    *this << "{";
+    for (std::size_t i = 0; i < label.tags().size(); ++i) {
+      char digits[24];
+      const char* end =
+          std::to_chars(digits, digits + sizeof digits, label.tags()[i].id())
+              .ptr;
+      *this << (i > 0 ? ",t" : "t")
+            << std::string_view(digits, static_cast<std::size_t>(end - digits));
+    }
+    return *this << "}";
+  }
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  char buf_[AuditLog::kFieldCap + 1];
+  std::size_t size_ = 0;
+};
+
+// TagRegistry::describe without the copy: a registered name is immutable
+// and lives as long as the registry. `unnamed` holds the "t<id>" spelling
+// of a tag that has none.
+std::string_view tag_name(const difc::TagInfo* info, difc::Tag tag,
+                          std::string& unnamed) {
+  if (info != nullptr && !info->name.empty()) return info->name;
+  unnamed = difc::to_string(tag);
+  return unnamed;
 }
 
 }  // namespace
@@ -506,6 +550,8 @@ void Gateway::refresh_runtime_gauges() {
 
   metrics.gauge("w5_audit_events_retained")
       .set(as_i64(provider_.audit().size()));
+  metrics.gauge("w5_audit_bytes_retained")
+      .set(as_i64(provider_.audit().bytes()));
   metrics.gauge("w5_audit_events_dropped")
       .set(as_i64(provider_.audit().dropped()));
   metrics.gauge("w5_traces_recorded").set(as_i64(
@@ -703,38 +749,19 @@ net::HttpResponse Gateway::route_dev_stats(const net::HttpRequest& request) {
   // §3.5 Debugging: "developers need to get some information when their
   // applications malfunction" — without core dumps that would expose
   // users' data. The audit log records failures as scrubbed events
-  // (exception type / error code only); this endpoint aggregates them
-  // per module for the developer.
+  // (exception type / error code only) and keeps per-module totals of
+  // them as it records: lifetime totals, read in O(1) whatever the log
+  // holds.
   const std::string module_id =
       net::query_get(request.parsed.query, "app").value_or("");
   if (module_id.empty()) return json_error(400, "app parameter required");
-  std::size_t errors = 0;
-  std::size_t quota_kills = 0;
-  std::size_t exports_blocked = 0;
-  std::string last_error;
-  for (const auto& event : provider_.audit().events()) {
-    if (event.actor != module_id) continue;
-    switch (event.kind) {
-      case AuditKind::kAppError:
-        ++errors;
-        last_error = event.detail;  // exception type name only
-        break;
-      case AuditKind::kQuotaKill:
-        ++quota_kills;
-        break;
-      case AuditKind::kExportBlocked:
-        ++exports_blocked;
-        break;
-      default:
-        break;
-    }
-  }
+  AuditLog::ActorTotals totals = provider_.audit().totals(module_id);
   util::Json body;
   body["app"] = module_id;
-  body["errors"] = errors;
-  body["quota_kills"] = quota_kills;
-  body["exports_blocked"] = exports_blocked;
-  body["last_error_type"] = last_error;
+  body["errors"] = totals.errors;
+  body["quota_kills"] = totals.quota_kills;
+  body["exports_blocked"] = totals.exports_blocked;
+  body["last_error_type"] = std::move(totals.last_error);  // type name only
   return net::HttpResponse::json(200, body.dump());
 }
 
@@ -908,6 +935,8 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
       "request:" + module->path(), provider_.config().request_limits,
       app_container);
 
+  const std::string& module_id = module->id();
+
   // Initial label state (DESIGN.md §3.3): clean secrecy and integrity.
   // A write grant arrives as the wp(viewer)+ *capability*, exercised at
   // each write (endorsed endpoint), never as a standing integrity label —
@@ -925,7 +954,7 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
     // runs — just without the user's privileges.
     const bool meritorious = module_components_trusted(*module, policy);
     if (!meritorious) {
-      provider_.audit().record(AuditKind::kAdmin, module->id(),
+      provider_.audit().record(AuditKind::kAdmin, module_id,
                                "integrity-protection",
                                "grants withheld: unaudited component");
     }
@@ -936,7 +965,6 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
         policy.grants_read(module->path()))
       owned.add(difc::plus(account->read_tag));
   }
-  const std::string module_id = module->id();  // concatenates; build once
   os::Pid pid;
   {
     ScopedSpan span("kernel.spawn", module_id);
@@ -953,7 +981,7 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
   } catch (const std::exception& e) {
     // §3.5 Debugging: developers get a signal that their app failed, but
     // the diagnostic channel carries no user data — exception *type* only.
-    provider_.audit().record(AuditKind::kAppError, module->id(),
+    provider_.audit().record(AuditKind::kAppError, module_id,
                              request.parsed.path, typeid(e).name());
     (void)provider_.kernel().kill(pid, "app exception");
     provider_.kernel().reap(pid);
@@ -963,7 +991,7 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
   const os::Process* process = provider_.kernel().find(pid);
   if (process == nullptr || process->status == os::ProcessStatus::kKilled) {
     // Killed mid-request (quota): the partial response must not escape.
-    provider_.audit().record(AuditKind::kQuotaKill, module->id(),
+    provider_.audit().record(AuditKind::kQuotaKill, module_id,
                              request.parsed.path,
                              process != nullptr ? process->exit_reason : "");
     return json_error(503, "application over quota");
@@ -974,25 +1002,37 @@ net::HttpResponse Gateway::route_app(const net::HttpRequest& request,
 
   // Popularity mining for code search (§3.2): every completed invocation
   // counts as a use.
-  provider_.search_service().record_use(module->id());
+  provider_.search_service().record_use(module_id);
 
-  return export_response(std::move(response), label, viewer, module->id());
+  return export_response(std::move(response), label, viewer, module_id);
 }
 
 util::Result<difc::CapabilitySet> Gateway::authorize_export(
     const difc::Label& label, const std::string& viewer,
     const std::string& module_id, const std::string& destination,
     std::size_t byte_count) {
-  // Distinct owners on the label (for aggregate declassifiers).
-  std::set<std::string> owners;
-  for (const difc::Tag tag : label.tags()) {
-    if (const UserAccount* account = provider_.users().owner_of_tag(tag))
-      owners.insert(account->id);
-  }
+  // Each tag's owner, looked up once, and a sorted copy that counts the
+  // distinct owners for aggregate declassifiers (one account per user).
+  // A label carries one to three tags, so both fit on the stack; a long
+  // label spills to the heap.
+  const std::vector<difc::Tag>& tags = label.tags();
+  constexpr std::size_t kOnStack = 8;
+  const UserAccount* on_stack[2 * kOnStack];
+  std::vector<const UserAccount*> spilled(
+      tags.size() > kOnStack ? 2 * tags.size() : 0);
+  const UserAccount** owners = spilled.empty() ? on_stack : spilled.data();
+  const UserAccount** sorted = owners + tags.size();
+  for (std::size_t i = 0; i < tags.size(); ++i)
+    owners[i] = sorted[i] = provider_.users().owner_of_tag(tags[i]);
+  std::sort(sorted, sorted + tags.size(), std::less<>());
+  std::size_t distinct_owners = static_cast<std::size_t>(
+      std::unique(sorted, sorted + tags.size()) - sorted);
+  if (!tags.empty() && sorted[0] == nullptr) --distinct_owners;
 
   difc::CapabilitySet authority;
-  for (const difc::Tag tag : label.tags()) {
-    const UserAccount* owner = provider_.users().owner_of_tag(tag);
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    const difc::Tag tag = tags[i];
+    const UserAccount* owner = owners[i];
     if (owner == nullptr) {
       return util::make_error(
           "perimeter.denied",
@@ -1018,21 +1058,20 @@ util::Result<difc::CapabilitySet> Gateway::authorize_export(
     ExportRequest export_request{viewer,       owner->id,
                                  tag,          module_id,
                                  destination,  byte_count,
-                                 owners.size()};
+                                 distinct_owners};
     // Span note: declassifier id only — policy names, never data.
     ScopedSpan span("declassify", declassifier_id);
     auto verdict = declassifier->decide(export_request);
     (verdict.ok() ? declassify_allow_ : declassify_deny_)->inc();
-    // "allow viewer=…" or "<denial code> viewer=…", built in one buffer.
-    const std::string_view outcome =
-        verdict.ok() ? std::string_view("allow") : verdict.error().code;
-    std::string detail;
-    detail.reserve(outcome.size() + 8 + viewer.size());
-    detail.append(outcome).append(" viewer=").append(viewer);
+    // "allow viewer=…" or "<denial code> viewer=…".
+    AuditText detail;
+    detail << (verdict.ok() ? std::string_view("allow")
+                            : std::string_view(verdict.error().code))
+           << " viewer=" << viewer;
+    std::string unnamed;
     provider_.audit().record(AuditKind::kDeclassifierDecision,
-                             declassifier_id,
-                             provider_.kernel().tags().describe(tag),
-                             std::move(detail));
+                             declassifier_id, tag_name(info, tag, unnamed),
+                             detail.view());
     if (!verdict.ok()) return std::move(verdict).error();
     authority.add(difc::minus(tag));
   }
@@ -1045,11 +1084,12 @@ net::HttpResponse Gateway::export_response(net::HttpResponse response,
                                            const std::string& module_id) {
   auto authority = authorize_export(label, viewer, module_id, "browser",
                                     response.body.size());
+  AuditText subject;
+  subject << label;
   if (!authority.ok()) {
     exports_blocked_->inc();
     provider_.audit().record(AuditKind::kExportBlocked, module_id,
-                             label.to_string(),
-                             std::move(authority).error().detail);
+                             subject.view(), authority.error().detail);
     return perimeter_denial();
   }
   // The real DIFC check, with exactly the authority the declassifiers
@@ -1060,7 +1100,7 @@ net::HttpResponse Gateway::export_response(net::HttpResponse response,
         !allowed.ok()) {
       exports_blocked_->inc();
       provider_.audit().record(AuditKind::kExportBlocked, module_id,
-                               label.to_string(), allowed.error().detail);
+                               subject.view(), allowed.error().detail);
       return perimeter_denial();
     }
   }
@@ -1085,17 +1125,20 @@ net::HttpResponse Gateway::export_response(net::HttpResponse response,
   // MashupOS-flavored client-side extension the paper floats in §3.5).
   if (!label.empty()) {
     std::string names;
+    std::string unnamed;
     for (const difc::Tag tag : label.tags()) {
       if (!names.empty()) names += ",";
-      names += provider_.kernel().tags().describe(tag);
+      names += tag_name(provider_.kernel().tags().find(tag), tag, unnamed);
     }
     response.headers.set("X-W5-Label", names);
   }
   if (provider_.config().strip_javascript)
     response.headers.set("Content-Security-Policy", "script-src 'none'");
 
+  AuditText detail;
+  detail << "viewer=" << viewer;
   provider_.audit().record(AuditKind::kExportAllowed, module_id,
-                           label.to_string(), "viewer=" + viewer);
+                           subject.view(), detail.view());
   return response;
 }
 

@@ -12,6 +12,7 @@ util::Status ModuleRegistry::add_locked(Module module) {
     return util::make_error("module.invalid",
                             "developer, name, version, handler required");
   }
+  module.id_ = module.path() + "@" + module.version;
   auto& versions = modules_[module.path()];
   for (const auto& existing : versions) {
     if (existing.version == module.version) {

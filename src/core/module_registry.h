@@ -48,8 +48,15 @@ struct Module {
                             // for closed modules)
   std::string forked_from;  // module id when created by fork()
 
-  std::string id() const { return developer + "/" + name + "@" + version; }
+  // "developer/name@version", spelled once by the registry when it
+  // publishes the module (empty before): the request path names the
+  // module several times per request.
+  const std::string& id() const noexcept { return id_; }
   std::string path() const { return developer + "/" + name; }
+
+ private:
+  friend class ModuleRegistry;
+  std::string id_;
 };
 
 // Thread-safe: shared_mutex over the version map (uploads/forks are

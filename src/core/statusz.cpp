@@ -205,6 +205,16 @@ util::Json tracing_section(Provider& provider) {
   return tracing;
 }
 
+util::Json audit_section(Provider& provider) {
+  const AuditLog& log = provider.audit();
+  util::Json audit = util::Json::object();
+  audit["events_retained"] = from_u64(log.size());
+  audit["bytes_retained"] = from_u64(log.bytes());
+  audit["byte_budget"] = from_u64(log.byte_budget());
+  audit["events_dropped"] = from_u64(log.dropped());
+  return audit;
+}
+
 }  // namespace
 
 util::Json build_statusz(Provider& provider) {
@@ -218,6 +228,7 @@ util::Json build_statusz(Provider& provider) {
   out["fed"] = fed_section(provider);
   out["query_engine"] = query_engine_section(provider);
   out["tracing"] = tracing_section(provider);
+  out["audit"] = audit_section(provider);
   return out;
 }
 

@@ -156,13 +156,13 @@ class AllocBudgetTest : public ::testing::Test {
   // decide the figure.
   Count count(const HttpRequest& req, int expect_status) {
     for (int i = 0; i < 3; ++i)
-      EXPECT_EQ(provider_.handle(req).status, expect_status) << req.target;
+      EXPECT_EQ(target_->handle(req).status, expect_status) << req.target;
     std::vector<Count> runs;
     for (int i = 0; i < 9; ++i) {
       allocations = 0;
       allocated_bytes = 0;
       counting = true;
-      const net::HttpResponse response = provider_.handle(req);
+      const net::HttpResponse response = target_->handle(req);
       counting = false;
       runs.push_back(Count{allocations, allocated_bytes});
       EXPECT_EQ(response.status, expect_status) << req.target;
@@ -185,6 +185,7 @@ class AllocBudgetTest : public ::testing::Test {
 
   util::WallClock clock_;
   Provider provider_{ProviderConfig{}, clock_};
+  Provider* target_ = &provider_;  // the provider count() sends to
   std::map<std::string, std::string> cookies_;
 };
 
@@ -195,22 +196,22 @@ TEST_F(AllocBudgetTest, GatewayFloorAndNotes) {
                         R"({"text":"a note of some forty bytes or so"})"),
                 201, 28);
   expect_within("note_get", request(Method::kGet, "/data/notes/n1", "alice"),
-                200, 23);
+                200, 20);
 }
 
 TEST_F(AllocBudgetTest, PhotoViews) {
   const std::string view = "/dev/photoco/photos/view?id=a-p00";
-  expect_within("own_view", request(Method::kGet, view, "alice"), 200, 38);
+  expect_within("own_view", request(Method::kGet, view, "alice"), 200, 32);
   const Count friend_view =
-      expect_within("friend_view", request(Method::kGet, view, "bob"), 200, 40);
+      expect_within("friend_view", request(Method::kGet, view, "bob"), 200, 34);
   const Count stranger_view = expect_within(
-      "stranger_view", request(Method::kGet, view, "carol"), 403, 40);
+      "stranger_view", request(Method::kGet, view, "carol"), 403, 34);
   // A blocked request costs no more than the same request allowed.
   EXPECT_LE(stranger_view.allocations, friend_view.allocations);
 
   const HttpRequest big = request(
       Method::kGet, "/dev/photoco/photos/view?id=a-zbig", "alice");
-  const Count big_view = expect_within("big_view", big, 200, 38);
+  const Count big_view = expect_within("big_view", big, 200, 32);
   // The 64 KiB body is serialized into one buffer, not grown by doubling.
   const std::size_t body = provider_.handle(big).body.size();
   EXPECT_LE(big_view.bytes, body + body / 2) << "body " << body;
@@ -220,10 +221,39 @@ TEST_F(AllocBudgetTest, FiftyRowListPages) {
   expect_within("app_list",
                 request(Method::kGet, "/dev/photoco/photos/list?limit=50",
                         "alice"),
-                200, 147);
+                200, 141);
   expect_within("data_list",
                 request(Method::kGet, "/data/photos?limit=50", "alice"), 200,
-                133);
+                130);
+}
+
+TEST_F(AllocBudgetTest, DevStatsCostsTheSameWithAnEmptyAndAFullLog) {
+  // A provider of its own, so its log starts empty.
+  Provider fresh{ProviderConfig{}, clock_};
+  target_ = &fresh;
+  const HttpRequest stats =
+      request(Method::kGet, "/dev-stats?app=photoco/photos@1.0", "");
+  const Count empty = expect_within("dev_stats", stats, 200, 11);
+  ASSERT_EQ(fresh.audit().size(), 0u);
+  // Fill the log the way traffic does: the app's exports and decisions,
+  // other modules' failures.
+  for (std::size_t i = 0; i < (std::size_t{1} << 17); ++i) {
+    fresh.audit().record(AuditKind::kExportAllowed, "photoco/photos@1.0",
+                         "{t5,t6}", "viewer=owner07");
+    fresh.audit().record(AuditKind::kAppError, "devF/flaky@1.0", "/dev/x",
+                         "St13runtime_error");
+  }
+  const Count full = expect_within("dev_stats_full", stats, 200, 11);
+  EXPECT_EQ(full.allocations, empty.allocations);
+
+  // A full log records by reusing its oldest chunk: no allocation.
+  allocations = 0;
+  counting = true;
+  for (int i = 0; i < 10000; ++i)
+    fresh.audit().record(AuditKind::kExportAllowed, "photoco/photos@1.0",
+                         "{t5,t6}", "viewer=owner07");
+  counting = false;
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

@@ -68,6 +68,17 @@ TEST(FlowTest, FlagsInterproceduralTaintLeakWithCallChain) {
   EXPECT_NE(r.output.find("1 violation(s)"), std::string::npos) << r.output;
 }
 
+TEST(FlowTest, FlagsRecordBytesReachingTheAuditLog) {
+  // GET /audit and /dev-stats serve what AuditLog::record stores, so the
+  // log is a sink like any log line: a direct record() and one through a
+  // helper are both leaks.
+  const FlowResult r = run_flow(fixture("flow_audit"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("[taint]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("note_denial"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("2 violation(s)"), std::string::npos) << r.output;
+}
+
 TEST(FlowTest, FlagsAbbaLockCycleWithBothSites) {
   const FlowResult r = run_flow(fixture("flow_lockcycle"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

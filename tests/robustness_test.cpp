@@ -35,7 +35,7 @@ TEST(JsonRobustnessTest, ReasonableNestingStillParses) {
   EXPECT_TRUE(util::Json::parse(nested).ok());
 }
 
-TEST(AuditRobustnessTest, FloodDropsOldestHalfNotTheProcess) {
+TEST(AuditRobustnessTest, FloodDropsOldestChunkNotTheProcess) {
   util::SimClock clock;
   platform::AuditLog audit(clock, /*max_events=*/100);
   for (int i = 0; i < 250; ++i) {
@@ -46,6 +46,27 @@ TEST(AuditRobustnessTest, FloodDropsOldestHalfNotTheProcess) {
   EXPECT_GT(audit.dropped(), 0u);
   // The newest events survive.
   EXPECT_EQ(audit.events().back().detail, "249");
+}
+
+TEST(AuditRobustnessTest, OversizedFieldsAreCappedAndBytesBounded) {
+  // A failed login stores the submitted user name as the actor; a 1 MiB
+  // name must not pin 1 MiB per retained event.
+  util::SimClock clock;
+  platform::AuditLog audit(clock);
+  const std::string huge(1 << 20, 'u');
+  for (int i = 0; i < 64; ++i) {
+    audit.record(platform::AuditKind::kAuthEvent, huge, "login",
+                 "auth.bad_credentials");
+    audit.record(platform::AuditKind::kAuthEvent, huge, "signup",
+                 "user.exists");
+  }
+  EXPECT_EQ(audit.size(), 128u);
+  EXPECT_LE(audit.bytes(), audit.byte_budget());
+  EXPECT_LE(audit.bytes(), 128u * (platform::AuditLog::kFieldCap + 64));
+  for (const auto& event : audit.events()) {
+    EXPECT_LE(event.actor.size(), platform::AuditLog::kFieldCap);
+    EXPECT_TRUE(event.actor.ends_with(platform::AuditLog::kTruncated));
+  }
 }
 
 TEST(SessionRobustnessTest, AbandonedSessionsArePurged) {

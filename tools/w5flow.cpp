@@ -92,7 +92,10 @@ const std::vector<std::string> kSinkCalls = {
     // core/trace + net/tracing: spans, notes, routes
     "add_span", "set_note", "set_route", "set_parent_span", "append_spans",
     // net::HttpClient egress
-    "roundtrip", "roundtrip_with_retry"};
+    "roundtrip", "roundtrip_with_retry",
+    // AuditLog::record (GET /audit, /dev-stats), and TraceBuffer::record
+    // and FlightRecorder::record (/trace, /debug/slowlog)
+    "record"};
 
 const std::set<std::string> kKeywords = {
     "if",     "for",    "while",   "switch",   "catch",    "return",
